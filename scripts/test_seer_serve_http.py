@@ -14,14 +14,11 @@ the contracts DESIGN.md §13 promises:
   * SIGTERM during --linger shuts down with exit 0;
   * seer_inspect --connect renders a live report against the same server.
 
-On a SEER_OBS=OFF build (ctest passes SEER_OBS_ENABLED=0) the plane is a
-stub, so the only contract is that --listen refuses with a diagnostic.
-
 Needs the compiled binaries; run by hand with:
 
     SEER_SERVE_BIN=build/tools/seer_serve \
     SEER_INSPECT_BIN=build/tools/seer_inspect \
-    SEER_OBS_ENABLED=1 python3 scripts/test_seer_serve_http.py -v
+    python3 scripts/test_seer_serve_http.py -v
 """
 
 import json
@@ -38,7 +35,6 @@ import urllib.request
 
 SERVE_BIN = os.environ.get("SEER_SERVE_BIN", "")
 INSPECT_BIN = os.environ.get("SEER_INSPECT_BIN", "")
-OBS_ENABLED = os.environ.get("SEER_OBS_ENABLED", "1") != "0"
 CHECK_PROM = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "check_prom_exposition.py")
 
@@ -140,7 +136,7 @@ class ServeUnderTest:
 @unittest.skipUnless(os.access(SERVE_BIN, os.X_OK),
                      "SEER_SERVE_BIN not set or not executable")
 class BuildinfoTest(unittest.TestCase):
-    """--buildinfo works in every build mode, including SEER_OBS=OFF."""
+    """--buildinfo prints build identity without starting a run."""
 
     def test_buildinfo_flag_prints_json(self):
         proc = subprocess.run([SERVE_BIN, "--buildinfo"], capture_output=True,
@@ -149,29 +145,10 @@ class BuildinfoTest(unittest.TestCase):
         info = json.loads(proc.stdout)
         self.assertEqual(info["tool"], "seer-serve")
         self.assertIn("commit", info)
-        self.assertEqual(info["seer_obs"], OBS_ENABLED)
 
 
 @unittest.skipUnless(os.access(SERVE_BIN, os.X_OK),
                      "SEER_SERVE_BIN not set or not executable")
-@unittest.skipIf(OBS_ENABLED, "covers the SEER_OBS=OFF stub only")
-class ListenStubTest(unittest.TestCase):
-    def test_listen_refuses_without_obs(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            config = os.path.join(tmp, "serve.json")
-            with open(config, "w", encoding="utf-8") as f:
-                json.dump(CONFIG, f)
-            proc = subprocess.run(
-                [SERVE_BIN, "--workload", config, "--deterministic",
-                 "--listen", "0"],
-                capture_output=True, text=True, check=False)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn("SEER_OBS=OFF", proc.stderr)
-
-
-@unittest.skipUnless(os.access(SERVE_BIN, os.X_OK),
-                     "SEER_SERVE_BIN not set or not executable")
-@unittest.skipUnless(OBS_ENABLED, "live plane needs SEER_OBS=ON")
 class TelemetryPlaneTest(unittest.TestCase):
     """One server instance scraped by every test, then torn down: the run
     itself is the expensive part, and the endpoints are independent."""
@@ -273,7 +250,6 @@ class TelemetryPlaneTest(unittest.TestCase):
 
 @unittest.skipUnless(os.access(SERVE_BIN, os.X_OK),
                      "SEER_SERVE_BIN not set or not executable")
-@unittest.skipUnless(OBS_ENABLED, "live plane needs SEER_OBS=ON")
 class ByteIdentityTest(unittest.TestCase):
     """The listener plus concurrent scrapes must not perturb the
     deterministic JSONL — the §12 reproducibility contract extended."""

@@ -124,7 +124,7 @@ struct SeerConfig {
   // --- observability (src/obs/, DESIGN.md §8) ----------------------------
   // Optional sinks; both must outlive the scheduler and be frozen/drained by
   // the embedding. nullptr (default) disables with one predicted branch per
-  // event; with SEER_OBS=OFF the calls compile away entirely.
+  // event.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* obs_trace = nullptr;
   // Model flight recorder (src/obs/flight_recorder.hpp): fed once per scheme
@@ -217,8 +217,8 @@ class SeerScheduler {
 
   // SGL fallback feed (any thread; the fallback path is already slow). The
   // storm detector classifies rebuild windows by fallbacks-per-execution —
-  // always compiled, unlike the flight recorder's twin counter, because the
-  // re-inference loop must not change behaviour with SEER_OBS=OFF.
+  // kept apart from the flight recorder's twin counter, because the
+  // re-inference loop must not change behaviour when no recorder is attached.
   void note_sgl_fallback() noexcept {
     sgl_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }

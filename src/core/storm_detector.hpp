@@ -8,9 +8,8 @@
 //   * core::SeerScheduler — the online re-inference loop: entering a storm
 //     triggers stats decay + immediate re-inference on the same rebuild.
 //
-// The scheduler's behaviour must not depend on whether observability is
-// compiled in (SEER_OBS=OFF stubs the recorder out entirely), so the
-// detector lives here, not in src/obs.
+// The scheduler's behaviour must not depend on whether a recorder is
+// attached, so the detector lives here, not in src/obs.
 //
 // Semantics, unchanged from the recorder: the detector is fed LIFETIME
 // tallies once per rebuild and works on the window since the last evaluated

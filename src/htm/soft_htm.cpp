@@ -222,6 +222,7 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     }
   };
 
+  std::uint64_t wv = 0;
   try {
     // Acquire in canonical order; never block — a busy stripe means a
     // concurrent committer, which an HTM would report as a conflict abort.
@@ -236,6 +237,14 @@ AbortStatus SoftHtm::ThreadContext::commit() {
       }
       ++locked;
     }
+
+    // Take the write version BEFORE validating (TL2 order). A writer that
+    // locks one of our read stripes after our validation passed then takes
+    // its version after ours, so the log orders it after us. Validating
+    // first would let such a writer take a smaller version than ours while
+    // we commit on the value it overwrote: a stale read. An abort below
+    // just spends a version.
+    wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
     // Validate the read set against the read version. A locked stripe is
     // fine iff the lock is ours, which the owned stamp answers in O(1)
@@ -275,8 +284,7 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     throw;
   }
 
-  // Publish: bump the clock, write back, release stripes at the new version.
-  const std::uint64_t wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Publish: write back, release stripes at the write version.
   for (const WriteEntry& e : writes_) {
     e.addr->store(e.value, std::memory_order_release);
   }

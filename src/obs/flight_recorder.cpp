@@ -4,8 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#if SEER_OBS_ENABLED
-
 namespace seer::obs {
 
 namespace {
@@ -166,5 +164,3 @@ std::string FlightRecorder::to_json() const {
 }
 
 }  // namespace seer::obs
-
-#endif  // SEER_OBS_ENABLED

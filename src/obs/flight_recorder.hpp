@@ -21,9 +21,6 @@
 // produces one episode, not a capture per rebuild. Entering an episode
 // forces a capture (reason "anomaly") regardless of the periodic cadence;
 // episodes record their [start, end] rebuild/clock bounds and peak rate.
-//
-// With SEER_OBS=OFF the class is an empty stub: on_rebuild() returns false
-// so the scheduler never builds a snapshot, and to_json() returns "{}".
 #pragma once
 
 #include <atomic>
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "core/storm_detector.hpp"
-#include "obs/obs_config.hpp"
 #include "obs/snapshot.hpp"
 
 namespace seer::obs {
@@ -57,7 +53,7 @@ struct FlightRecorderConfig {
 
   // The recorder's thresholds as the shared core state machine's config
   // (core/storm_detector.hpp — the same detector drives the scheduler's
-  // online re-inference loop, independent of SEER_OBS).
+  // online re-inference loop).
   [[nodiscard]] core::StormConfig storm() const noexcept {
     return core::StormConfig{abort_rate_enter, abort_rate_exit, sgl_rate_enter,
                              sgl_rate_exit, min_window_events};
@@ -91,8 +87,6 @@ struct AnomalyEpisode {
   }
   return "?";
 }
-
-#if SEER_OBS_ENABLED
 
 class FlightRecorder {
  public:
@@ -167,31 +161,5 @@ class FlightRecorder {
   core::StormDetector detector_;
   std::vector<AnomalyEpisode> episodes_;
 };
-
-#else  // !SEER_OBS_ENABLED — zero-cost stubs with the identical surface.
-
-class FlightRecorder {
- public:
-  explicit FlightRecorder(FlightRecorderConfig = {}) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  void note_sgl_fallback() noexcept {}
-  [[nodiscard]] std::uint64_t sgl_fallbacks() const noexcept { return 0; }
-  [[nodiscard]] bool on_rebuild(const RebuildSample&) { return false; }
-  void record(ModelSnapshot&&) {}
-  void record_final(ModelSnapshot&&) {}
-  void set_publish(std::function<void(const ModelSnapshot&)>) {}
-  [[nodiscard]] std::uint64_t captured() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::vector<const ModelSnapshot*> snapshots() const { return {}; }
-  [[nodiscard]] const std::vector<AnomalyEpisode>& episodes() const noexcept {
-    static const std::vector<AnomalyEpisode> kEmpty;
-    return kEmpty;
-  }
-  [[nodiscard]] std::string to_json() const { return "{}"; }
-};
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

@@ -1,7 +1,5 @@
 #include "obs/http_exporter.hpp"
 
-#if SEER_OBS_ENABLED
-
 #include <cstdio>
 
 namespace seer::obs {
@@ -107,5 +105,3 @@ void HttpExporter::handle_connection(util::SocketFd conn) {
 }
 
 }  // namespace seer::obs
-
-#endif  // SEER_OBS_ENABLED

@@ -13,27 +13,17 @@
 // Routes are registered before start() and immutable afterwards, so the
 // serving thread walks them lock-free. Handlers run on the exporter
 // thread.
-//
-// With SEER_OBS=OFF the class is a stub whose start() fails with a
-// diagnostic: the telemetry plane is an observability feature, and the
-// embedding (seer_serve --listen) turns the failure into a clear exit-2
-// instead of silently serving nothing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "obs/obs_config.hpp"
-
-#if SEER_OBS_ENABLED
-#include <atomic>
-#include <thread>
-
 #include "util/tcp_listener.hpp"
-#endif
 
 namespace seer::obs {
 
@@ -44,8 +34,6 @@ struct HttpResponse {
 };
 
 using HttpHandler = std::function<HttpResponse()>;
-
-#if SEER_OBS_ENABLED
 
 class HttpExporter {
  public:
@@ -79,27 +67,5 @@ class HttpExporter {
   std::atomic<bool> stop_{false};
   std::atomic<bool> serving_{false};
 };
-
-#else  // !SEER_OBS_ENABLED — stub: start() reports the layer is compiled out.
-
-class HttpExporter {
- public:
-  HttpExporter() = default;
-  HttpExporter(const HttpExporter&) = delete;
-  HttpExporter& operator=(const HttpExporter&) = delete;
-
-  void route(std::string, HttpHandler) {}
-  bool start(std::uint16_t, std::string* err = nullptr) {
-    if (err != nullptr) {
-      *err = "telemetry exporter unavailable: built with SEER_OBS=OFF";
-    }
-    return false;
-  }
-  void stop() {}
-  [[nodiscard]] bool running() const noexcept { return false; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return 0; }
-};
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

@@ -61,8 +61,6 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-#if SEER_OBS_ENABLED
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counter_names_.size());
@@ -102,7 +100,5 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   return snap;
 }
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

@@ -9,8 +9,8 @@
 //      bench/micro_obs.cpp).
 //   2. A collector must be able to snapshot every metric *while* worker
 //      threads keep recording — no stop-the-world, no locks on either side.
-//   3. With SEER_OBS=OFF the whole layer compiles to empty inline stubs, so
-//      the instrumentation points in the components cost literally nothing.
+//   3. A component with no registry attached pays one predictable
+//      null-pointer branch per instrumentation point and nothing else.
 //
 // The implementation copies the ThreadStats recipe (core/conflict_stats.hpp):
 // every thread owns one contiguous cache-line-aligned slab holding its lane
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/obs_config.hpp"
 #include "util/cacheline.hpp"
 
 namespace seer::obs {
@@ -79,8 +78,6 @@ struct MetricsSnapshot {
   // [bucket, count] pairs. Returns "{}" when empty.
   [[nodiscard]] std::string to_json() const;
 };
-
-#if SEER_OBS_ENABLED
 
 class MetricsRegistry {
  public:
@@ -183,27 +180,5 @@ class MetricsRegistry {
   std::vector<util::CacheAlignedSlab<Cell>> lanes_;
   util::CacheAlignedSlab<Cell> gauge_cells_;
 };
-
-#else  // !SEER_OBS_ENABLED — zero-cost stubs with the identical surface.
-
-class MetricsRegistry {
- public:
-  explicit MetricsRegistry(std::size_t) {}
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  MetricId counter(const std::string&) { return kNoMetric; }
-  MetricId histogram(const std::string&) { return kNoMetric; }
-  MetricId gauge(const std::string&) { return kNoMetric; }
-  void freeze() {}
-  [[nodiscard]] bool frozen() const noexcept { return true; }
-  [[nodiscard]] std::size_t n_threads() const noexcept { return 0; }
-  void add(MetricId, core::ThreadId, std::uint64_t = 1) noexcept {}
-  void observe(MetricId, core::ThreadId, std::uint64_t) noexcept {}
-  void set_gauge(MetricId, std::uint64_t) noexcept {}
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-};
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

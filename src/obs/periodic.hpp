@@ -13,9 +13,6 @@
 // are stable. Histograms are deliberately not emitted here — the serve
 // harness carries its own latency accounting (util/latency_histogram.hpp)
 // with better-defined semantics than a generic bucket dump.
-//
-// Compiles against both SEER_OBS settings: with the layer off the stub
-// registry snapshots empty and delta_fields() returns "".
 #pragma once
 
 #include <initializer_list>

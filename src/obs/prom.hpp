@@ -16,10 +16,7 @@
 //     are skipped (legal — consumers accumulate), +Inf always closes the
 //     series, and _sum/_count ride along.
 //
-// This file is NOT gated on SEER_OBS: MetricsSnapshot is plain data that
-// always compiles, and rendering an empty snapshot from the stub registry
-// yields an empty exposition — which is exactly what an OBS=OFF build
-// should serve.
+// An empty snapshot renders as an empty exposition.
 #pragma once
 
 #include <string>

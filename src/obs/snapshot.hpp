@@ -3,12 +3,11 @@
 // pairwise conflict probabilities, the active fine-grained lock scheme, and
 // the hill climber's position in (Th1, Th2) space.
 //
-// The struct is plain data and always compiles (it carries no hot-path
-// machinery); the FlightRecorder that retains and serializes snapshots is
-// what the SEER_OBS gate stubs out. Snapshots are built on the maintenance
-// path only (scheme rebuilds, end of run) — never on the per-transaction
-// record_commit/record_abort path — so the allocations here cost the same
-// class of work as the rebuild that triggers them.
+// The struct is plain data (it carries no hot-path machinery); the
+// FlightRecorder retains and serializes snapshots. Snapshots are built on
+// the maintenance path only (scheme rebuilds, end of run) — never on the
+// per-transaction record_commit/record_abort path — so the allocations here
+// cost the same class of work as the rebuild that triggers them.
 //
 // Serialization is a versioned JSON object (kModelSnapshotVersion). The
 // format is append-only by contract: consumers (tools/seer_inspect) must

@@ -18,8 +18,6 @@ std::uint64_t now_ticks() noexcept {
 #endif
 }
 
-#if SEER_OBS_ENABLED
-
 TraceSink::TraceSink(std::size_t n_threads, std::size_t capacity) {
   const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 2));
   mask_ = cap - 1;
@@ -188,7 +186,5 @@ std::string TraceSink::summary() const {
   }
   return out;
 }
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

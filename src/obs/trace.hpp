@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/obs_config.hpp"
 #include "util/cacheline.hpp"
 
 namespace seer::obs {
@@ -61,8 +60,6 @@ struct TraceEvent {
 
 // Coarse RDTSC-style logical clock for embeddings without a simulated one.
 [[nodiscard]] std::uint64_t now_ticks() noexcept;
-
-#if SEER_OBS_ENABLED
 
 class TraceSink {
  public:
@@ -117,26 +114,5 @@ class TraceSink {
   std::size_t mask_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
-
-#else  // !SEER_OBS_ENABLED — zero-cost stubs with the identical surface.
-
-class TraceSink {
- public:
-  explicit TraceSink(std::size_t, std::size_t = 0) {}
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  void emit(core::ThreadId, TraceKind, std::uint64_t, std::uint64_t) noexcept {}
-  [[nodiscard]] std::vector<TraceEvent> drain_sorted() const { return {}; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::vector<std::uint64_t> dropped_per_lane() const { return {}; }
-  [[nodiscard]] std::uint64_t emitted() const noexcept { return 0; }
-  [[nodiscard]] std::size_t n_lanes() const noexcept { return 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  [[nodiscard]] bool write_chrome_json(const std::string&) const { return true; }
-  [[nodiscard]] std::string summary() const { return "observability disabled\n"; }
-};
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

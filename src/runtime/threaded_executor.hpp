@@ -24,6 +24,7 @@
 
 #include "core/topology.hpp"
 #include "htm/soft_htm.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/policies.hpp"
@@ -232,6 +233,10 @@ class ThreadedExecutor {
       // while we hold the SGL — so the retry loop terminates.
       WordLock& sgl = exec_->locks_.sgl();
       sgl.lock();
+      // Counted at grant time, as the simulator does (Machine::sgl_granted).
+      if (obs::FlightRecorder* r = exec_->shared_.config().seer.recorder) {
+        r->note_sgl_fallback();
+      }
       util::Backoff backoff;
       while (true) {
         const htm::AbortStatus s =

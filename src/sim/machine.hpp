@@ -120,7 +120,7 @@ struct MachineConfig {
   obs::TraceSink* trace = nullptr;
   // Model flight recorder: routed into the Seer scheduler (periodic/anomaly
   // snapshots at rebuilds), fed SGL-fallback notes by the machine, and handed
-  // a final end-of-run capture. Null disables; stubbed under SEER_OBS=OFF.
+  // a final end-of-run capture. Null disables.
   obs::FlightRecorder* recorder = nullptr;
 };
 

@@ -61,7 +61,7 @@ struct ServeOptions {
   double rate_override = 0.0;        // 0 = config; replaces rate AND sweep
   // Real mode: append per-interval counter deltas (rt./htm./seer. metrics)
   // to the interval JSONL lines. Deterministic mode ignores this so its
-  // output cannot depend on SEER_OBS.
+  // output is the same with or without it.
   bool emit_metrics = false;
   // Live telemetry hub (serve_telemetry.hpp), or nullptr for none. The
   // driver bumps its counters/gauges/heartbeats from both backends; feeding

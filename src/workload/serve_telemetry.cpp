@@ -23,20 +23,10 @@ void append_dbl(std::string& out, double v) {
   out += buf;
 }
 
-// Registration-order lookup: snapshot vectors mirror id order, so the hub's
-// own ids index them directly. The OBS=OFF stub snapshot is empty — then
-// (and only then) every value reads as 0.
-std::uint64_t counter_at(const obs::MetricsSnapshot& snap, obs::MetricId id) {
-  return id < snap.counters.size() ? snap.counters[id].value : 0;
-}
-std::uint64_t gauge_at(const obs::MetricsSnapshot& snap, obs::MetricId id) {
-  return id < snap.gauges.size() ? snap.gauges[id].value : 0;
-}
-
 }  // namespace
 
 ServeTelemetry::ServeTelemetry(std::size_t lanes)
-    : lanes_(lanes == 0 ? 1 : lanes), registry_(lanes_) {
+    : registry_(lanes == 0 ? 1 : lanes) {
   arrivals = registry_.counter("serve.arrivals");
   accepted = registry_.counter("serve.accepted");
   rejected = registry_.counter("serve.rejected");
@@ -95,28 +85,30 @@ std::string ServeTelemetry::metrics_exposition() const {
 }
 
 std::string ServeTelemetry::status_json() const {
+  // Snapshot vectors mirror registration order, so the hub's own ids index
+  // them directly.
   const obs::MetricsSnapshot snap = registry_.snapshot();
   const util::LatencyBucketCounts lat = latency_.snapshot();
   std::string out = "{\"state\": \"";
   out += state_name();
   out += "\", \"step\": ";
-  append_u64(out, gauge_at(snap, step));
+  append_u64(out, snap.gauges[step].value);
   out += ", \"workers\": ";
-  append_u64(out, gauge_at(snap, workers));
+  append_u64(out, snap.gauges[workers].value);
   out += ", \"offered_rate\": ";
   append_dbl(out, offered_rate());
   out += ", \"arrivals\": ";
-  append_u64(out, counter_at(snap, arrivals));
+  append_u64(out, snap.counters[arrivals].value);
   out += ", \"accepted\": ";
-  append_u64(out, counter_at(snap, accepted));
+  append_u64(out, snap.counters[accepted].value);
   out += ", \"rejected\": ";
-  append_u64(out, counter_at(snap, rejected));
+  append_u64(out, snap.counters[rejected].value);
   out += ", \"completed\": ";
-  append_u64(out, counter_at(snap, completed));
+  append_u64(out, snap.counters[completed].value);
   out += ", \"queue_depth\": ";
-  append_u64(out, gauge_at(snap, queue_depth));
+  append_u64(out, snap.gauges[queue_depth].value);
   out += ", \"active_workers\": ";
-  append_u64(out, gauge_at(snap, active_workers));
+  append_u64(out, snap.gauges[active_workers].value);
   out += ", \"p50_est_us\": ";
   append_dbl(out, util::bucket_quantile_estimate(lat, 0.5) / 1000.0);
   out += ", \"p99_est_us\": ";
@@ -132,7 +124,7 @@ ServeTelemetry::Health ServeTelemetry::healthz(std::uint64_t now_ns,
   const std::uint64_t wbeat = worker_beat_ns_.load(std::memory_order_relaxed);
   const std::uint64_t page = pbeat != 0 && now_ns > pbeat ? now_ns - pbeat : 0;
   const std::uint64_t wage = wbeat != 0 && now_ns > wbeat ? now_ns - wbeat : 0;
-  const std::uint64_t depth = gauge_at(registry_.snapshot(), queue_depth);
+  const std::uint64_t depth = registry_.snapshot().gauges[queue_depth].value;
 
   Health h;
   const char* verdict = "ok";

@@ -24,11 +24,6 @@
 //   deterministic mode  rate step i -> lane i (steps may run concurrently
 //                       under --jobs; each is single-threaded)
 // so lanes = max(n_rate_steps, workers + 1) covers both backends.
-//
-// The hub compiles identically with SEER_OBS=OFF: the registry inside
-// becomes the zero-cost stub (bumps vanish, snapshots are empty) and only
-// the plain-atomic state remains — which is all moot anyway, because the
-// HttpExporter stub refuses to start without SEER_OBS.
 #pragma once
 
 #include <atomic>
@@ -55,10 +50,9 @@ class ServeTelemetry {
   [[nodiscard]] const obs::MetricsRegistry& registry() const noexcept {
     return registry_;
   }
-  // Lane count as sized by the caller (valid even with the OBS=OFF stub
-  // registry, whose n_threads() is 0). The driver skips bumps for lanes
+  // Lane count as sized by the caller. The driver skips bumps for lanes
   // beyond this, so an undersized hub degrades to partial counts, not UB.
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
+  [[nodiscard]] std::size_t lanes() const noexcept { return registry_.n_threads(); }
 
   // Metric ids, public by design: the serve driver bumps them inline.
   obs::MetricId arrivals, accepted, rejected, completed;           // counters
@@ -121,7 +115,6 @@ class ServeTelemetry {
                                std::uint64_t stall_ns) const;
 
  private:
-  std::size_t lanes_;
   obs::MetricsRegistry registry_;
   util::LatencyBuckets latency_;
   std::atomic<std::uint8_t> state_{0};

@@ -174,11 +174,9 @@ TEST(BenchRunner, MetricsOutputIsByteIdenticalForAnyJobsCount) {
   const std::string pooled =
       metrics_file(8, ::testing::TempDir() + "bench_metrics_j8.json");
   EXPECT_EQ(serial, pooled) << "--metrics must be --jobs invariant, byte for byte";
-#if SEER_OBS_ENABLED
   EXPECT_NE(serial.find("\"sim.commits\""), std::string::npos);
   EXPECT_NE(serial.find("\"seer.announces\""), std::string::npos);
   EXPECT_NE(serial.find("\"sim.queue_depth\""), std::string::npos);
-#endif
 }
 
 TEST(BenchRunner, MetricsSkippedWhenPathEmpty) {
@@ -250,10 +248,9 @@ TEST(BenchRunner, SnapshotsInvarianceHoldsWithSampledStats) {
 }
 
 TEST(BenchRunner, SnapshotsDumpIsValidVersionedJson) {
-  // The dump must parse as JSON in every build configuration; the flight
-  // objects are full under SEER_OBS=ON and empty ({}) under OFF, but the
-  // envelope (version, per-run records, ground truth) is always present —
-  // the simulator side of the introspection does not compile away.
+  // The dump must parse as JSON: a versioned envelope of per-run records,
+  // each with its flight object (empty for non-Seer policies) and ground
+  // truth.
   const std::vector<Cell> cells = fig3_slice();
   const std::string text =
       snapshots_file(cells, 2, ::testing::TempDir() + "bench_snap_valid.json");
@@ -299,11 +296,7 @@ TEST(BenchRunner, SnapshotsDumpIsValidVersionedJson) {
       }
     }
   }
-#if SEER_OBS_ENABLED
   EXPECT_TRUE(saw_seer_flight) << "Seer runs must carry flight dumps";
-#else
-  EXPECT_FALSE(saw_seer_flight) << "OFF builds dump empty flight objects";
-#endif
 }
 
 TEST(BenchRunner, SnapshotsSkippedWhenPathEmpty) {

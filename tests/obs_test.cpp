@@ -1,8 +1,7 @@
 // Tests for the observability layer (src/obs/): metrics registry semantics,
 // concurrent snapshotting, ring-buffer tracing (wraparound, drop counts),
 // Chrome trace_event export well-formedness, and the end-to-end integration
-// with the ThreadedExecutor. Built only with SEER_OBS=ON — the OFF
-// configuration replaces everything here with inline no-op stubs.
+// with the ThreadedExecutor.
 #include <gtest/gtest.h>
 
 #include <cstdio>

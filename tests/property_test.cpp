@@ -233,14 +233,10 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaqueAcrossTierTransitions) {
         << "lost/phantom update at seed " << seed << "\n"
         << replay_hint(seed);
   }
-#if SEER_OBS_ENABLED
   if (iters > 1) {
     EXPECT_GT(promoted_somewhere, 0u)
         << "no transaction ever promoted — the sweep is not crossing tiers";
   }
-#else
-  (void)promoted_somewhere;  // counters are stubs under SEER_OBS=OFF
-#endif
 }
 
 // ------------------------------------------------ phased regime shifts ----
@@ -356,7 +352,6 @@ TEST(PropertyHarness, PhasedRegimeShiftsStayOpaqueWithExactCounts) {
   }
 }
 
-#if SEER_OBS_ENABLED
 // After the shift, the scheduler's learned pair probabilities must move
 // toward the NEW ground truth: a deterministic simulator run whose conflict
 // mass flips from pair (a,b) to pair (b,c) at progress 0.5, snapshotted at
@@ -441,7 +436,6 @@ TEST(PropertyHarness, PhasedSnapshotsTrackTheNewConflictMatrix) {
       << "post-shift snapshots are not moving toward the new conflict matrix "
       << "(old-pair delta " << d_old << ", new-pair delta " << d_new << ")";
 }
-#endif  // SEER_OBS_ENABLED
 
 // Acceptance gate: a TM that skips commit-time read-set validation must be
 // caught by the checker well within 100 seeds. The workload reads one word

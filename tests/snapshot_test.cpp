@@ -5,18 +5,18 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "check/fault_plan.hpp"
 #include "core/seer_scheduler.hpp"
+#include "htm/soft_htm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/snapshot.hpp"
+#include "runtime/threaded_executor.hpp"
 #include "sim/machine.hpp"
 #include "stamp/workloads.hpp"
 #include "util/json.hpp"
-
-// The OFF-build contract (on_rebuild always false, to_json "{}") is covered
-// by bench_runner_test, which runs in both configurations; everything below
-// exercises the real recorder and is only built with SEER_OBS=ON.
 
 namespace seer::obs {
 namespace {
@@ -290,6 +290,55 @@ TEST(MachineIntegration, SeerRunFeedsRecorderAndFinalSnapshot) {
   const auto doc = util::json::parse(rec.to_json(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_EQ(doc->u64("captured"), rec.captured());
+}
+
+// -------------------------------------------------- executor integration ---
+
+TEST(ExecutorIntegration, SglGrantsFeedTheRecorder) {
+  // Real mode must count SGL fallbacks where the simulator does: once per
+  // grant of the lock. Injected conflicts exhaust the retry budget of a
+  // share of the transactions, so some commit in hardware and some on the
+  // SGL.
+  constexpr std::size_t kThreads = 2;
+  constexpr int kTxsPerThread = 200;
+  htm::SoftHtm tm;
+  FlightRecorder rec;
+  rt::PolicyConfig policy;
+  policy.kind = rt::PolicyKind::kSeer;
+  policy.seer.recorder = &rec;
+  rt::ThreadedExecutor::Options opts;
+  opts.n_threads = kThreads;
+  opts.n_types = 2;
+  opts.physical_cores = 2;
+  rt::ThreadedExecutor exec(tm, policy, opts);
+
+  std::vector<std::unique_ptr<rt::ThreadedExecutor::ThreadHandle>> handles;
+  std::vector<std::unique_ptr<check::FaultPlan>> plans;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    handles.push_back(exec.make_handle(static_cast<core::ThreadId>(t)));
+    plans.push_back(std::make_unique<check::FaultPlan>(
+        check::FaultPlanConfig{.p_conflict = 0.2, .seed = t + 1}));
+    handles.back()->set_fault_injector(plans.back().get());
+  }
+  htm::TmWord counter{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kTxsPerThread; ++i) {
+        (void)handles[t]->run(static_cast<core::TxTypeId>(i % 2), [&](auto& tx) {
+          tx.write(counter, tx.read(counter) + 1);
+        });
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const rt::ExecutorStats stats = rt::ThreadedExecutor::aggregate(handles);
+  const std::uint64_t sgl_commits =
+      stats.total.commits_by_mode[static_cast<std::size_t>(rt::CommitMode::kSglFallback)];
+  EXPECT_EQ(counter.load(), kThreads * kTxsPerThread);
+  EXPECT_GT(sgl_commits, 0u) << "the fault plans never pushed a tx onto the SGL";
+  EXPECT_EQ(rec.sgl_fallbacks(), sgl_commits);
 }
 
 }  // namespace

@@ -1,11 +1,6 @@
 // Live telemetry plane (DESIGN.md §13): Prometheus exposition rendering,
 // the registry's gauge kind, the ServeTelemetry hub's endpoint bodies, and
 // the HttpExporter served over a real loopback socket.
-//
-// Built only with SEER_OBS=ON (tests/CMakeLists.txt gates it like obs_test):
-// the registry and exporter are stubs otherwise, and the OBS=OFF contract —
-// seer-serve --listen refusing with a diagnostic — is covered by the
-// subprocess tests in scripts/test_seer_serve_http.py.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>

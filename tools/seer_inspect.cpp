@@ -34,8 +34,8 @@
 // by default; --watch S re-polls every S seconds until Ctrl-C.
 //
 // Exit codes: 0 analysis ran, 2 usage/parse error or (one-shot --connect)
-// unreachable endpoint. Runs whose flight dump is empty (SEER_OBS=OFF
-// builds) are reported as such, not treated as errors.
+// unreachable endpoint. Runs whose flight dump is empty (non-Seer policies)
+// are reported as such, not treated as errors.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -651,8 +651,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.u64("seed")));
     const Value* flight = run.find("flight");
     if (flight == nullptr || !flight->is_object() || flight->object.empty()) {
-      std::printf("  flight recorder: empty dump (SEER_OBS=OFF build, or a "
-                  "non-Seer policy)\n");
+      std::printf("  flight recorder: empty dump (non-Seer policy)\n");
     } else {
       std::printf("  flight recorder: %llu captured, %llu overwritten\n",
                   static_cast<unsigned long long>(flight->u64("captured")),

@@ -30,7 +30,7 @@
 //
 // Exit codes: 0 run completed (interrupted-but-drained counts as
 // completed), 2 usage/config error (including a workload config without an
-// `open_loop` section, and --listen on a SEER_OBS=OFF build).
+// `open_loop` section, and a --listen port that cannot be bound).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -44,7 +44,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/http_exporter.hpp"
-#include "obs/obs_config.hpp"
 #include "obs/snapshot.hpp"
 #include "runtime/policies.hpp"
 #include "util/thread_pool.hpp"
@@ -90,9 +89,7 @@ std::string buildinfo_json() {
   out += SEER_GIT_SHA;
   out += "\", \"build_type\": \"";
   out += SEER_BUILD_TYPE;
-  out += "\", \"seer_obs\": ";
-  out += SEER_OBS_ENABLED ? "true" : "false";
-  out += ", \"snapshot_version\": ";
+  out += "\", \"snapshot_version\": ";
   out += std::to_string(seer::obs::kModelSnapshotVersion);
   out += "}\n";
   return out;
@@ -116,7 +113,7 @@ void usage(const char* argv0) {
       "  --rate R               override: serve only this rate (no sweep)\n"
       "  --duration S           override the per-step measured window\n"
       "  --metrics              real mode: runtime counter deltas on\n"
-      "                         interval lines (needs SEER_OBS=ON)\n"
+      "                         interval lines\n"
       "  --storm-response       Seer scheduler: decay stats and re-infer\n"
       "                         immediately on abort-/SGL-storm entry\n"
       "                         (affects the conflict service model and\n"
@@ -130,7 +127,7 @@ void usage(const char* argv0) {
       "  --out FILE             write JSONL here instead of stdout\n"
       "  --listen PORT          live telemetry on http://127.0.0.1:PORT\n"
       "                         (0 = ephemeral; the bound port is printed\n"
-      "                         on stderr; needs SEER_OBS=ON)\n"
+      "                         on stderr)\n"
       "  --linger               after the run, keep serving the telemetry\n"
       "                         endpoints until SIGINT/SIGTERM\n"
       "  --metrics-out FILE     write the final Prometheus exposition (the\n"
