@@ -12,9 +12,7 @@
 #include <utility>
 
 #include "core/seer_scheduler.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 
 namespace {
 
@@ -50,7 +48,7 @@ void BM_TraceEmit(benchmark::State& state) {
   obs::TraceSink sink(1, 1u << 12);
   std::uint64_t ts = 0;
   for (auto _ : state) {
-    sink.emit(0, obs::TraceKind::kTxCommit, ts++, 3);
+    sink.emit(0, obs::Event::kCommit, ts++, 3);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -78,11 +76,11 @@ BENCHMARK(BM_SchedulerRecordCommit_Detached);
 
 void BM_SchedulerRecordCommit_Metrics(benchmark::State& state) {
   obs::MetricsRegistry reg(8);
+  obs::Observer observer(obs::Layer::kSeer, /*seer=*/true, {.metrics = &reg});
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.metrics = &reg;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, &observer);
   reg.freeze();
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
@@ -94,17 +92,18 @@ void BM_SchedulerRecordCommit_Metrics(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRecordCommit_Metrics);
 
-// Flight recorder contract (DESIGN.md §9): attaching one must not change the
-// per-transaction path at all — the recorder is fed only at rebuilds and on
-// the SGL fallback path. This variant should measure the same as _Detached;
-// any gap means recorder state leaked onto the commit path.
+// Flight recorder contract (DESIGN.md §9): the recorder is fed only at
+// rebuilds and on the SGL fallback path, so attaching one adds nothing to
+// the commit path but the observer's null tests of the sinks it lacks
+// (metrics, scheduler-stream capture). Any larger gap to _Detached means
+// recorder state leaked onto the commit path.
 void BM_SchedulerRecordCommit_Recorder(benchmark::State& state) {
   obs::FlightRecorder rec;
+  obs::Observer observer(obs::Layer::kSeer, /*seer=*/true, {.recorder = &rec});
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.recorder = &rec;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, &observer);
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
   }
@@ -120,11 +119,9 @@ BENCHMARK(BM_SchedulerRecordCommit_Recorder);
 // the transaction path entirely. Populates the slabs first so the merge
 // walks real (non-zero) matrices.
 void BM_ModelSnapshot(benchmark::State& state) {
-  obs::FlightRecorder rec;
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.recorder = &rec;
   core::SeerScheduler sched(cfg);
   for (core::ThreadId t = 0; t < 8; ++t) {
     sched.announce(t, static_cast<core::TxTypeId>(t % 4));

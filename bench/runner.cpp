@@ -6,17 +6,14 @@
 #include <stdexcept>
 
 #include "htm/abort_code.hpp"
+#include "util/format.hpp"
 #include "util/thread_pool.hpp"
 
 namespace seer::bench {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
+using util::append_u64;
 
 // Sparse victim-major dump of the simulator's exact conflict attribution —
 // the reference tools/seer_inspect scores the inferred scheme against.

@@ -6,63 +6,36 @@
 
 namespace seer::check {
 
-std::vector<std::vector<core::TxTypeId>> scheme_rows(const core::LockScheme& scheme) {
-  std::vector<std::vector<core::TxTypeId>> rows(scheme.n_types());
-  for (std::size_t x = 0; x < scheme.n_types(); ++x) {
-    const core::LockRow& row = scheme.row(static_cast<core::TxTypeId>(x));
-    rows[x].assign(row.begin(), row.end());
-  }
-  return rows;
-}
-
-void SchedTraceRecorder::on_event(const core::SchedEvent& e) noexcept {
-  const std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(e);
-}
-
-void SchedTraceRecorder::on_rebuild(std::uint64_t rebuild_index,
-                                    const core::InferenceParams& params,
-                                    const core::LockScheme& scheme) noexcept {
-  const std::lock_guard<std::mutex> lk(mu_);
-  decisions_.push_back(SchedDecision{rebuild_index, params, scheme_rows(scheme)});
-}
-
-std::vector<core::SchedEvent> SchedTraceRecorder::events() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return events_;
-}
-
-std::vector<SchedDecision> SchedTraceRecorder::decisions() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return decisions_;
-}
-
 std::vector<SchedDecision> replay_trace(core::SeerScheduler& sched,
-                                        const std::vector<core::SchedEvent>& events) {
-  SchedTraceRecorder rec;
-  sched.set_trace_sink(&rec);
-  using Kind = core::SchedEvent::Kind;
-  for (const core::SchedEvent& e : events) {
+                                        const std::vector<SchedEvent>& events) {
+  std::vector<SchedDecision> decisions;
+  for (const SchedEvent& e : events) {
+    const std::uint64_t rebuilds = sched.rebuild_count();
     switch (e.kind) {
-      case Kind::kAnnounce: sched.announce(e.thread, e.tx); break;
-      case Kind::kClear: sched.clear(e.thread); break;
-      case Kind::kAbort: sched.record_abort(e.thread, e.tx); break;
-      case Kind::kCommit: sched.record_commit(e.thread, e.tx); break;
-      case Kind::kMaybeUpdate: (void)sched.maybe_update(e.thread, e.now); break;
-      case Kind::kForceUpdate: sched.force_update(e.now); break;
+      case obs::Event::kAnnounce: sched.announce(e.thread, e.tx); break;
+      case obs::Event::kClear: sched.clear(e.thread); break;
+      case obs::Event::kAbort: sched.record_abort(e.thread, e.tx); break;
+      case obs::Event::kCommit: sched.record_commit(e.thread, e.tx); break;
+      case obs::Event::kMaybeUpdate: (void)sched.maybe_update(e.thread, e.now); break;
+      case obs::Event::kForceUpdate: sched.force_update(e.now); break;
+      default: break;  // not a scheduler call
+    }
+    // A call that rebuilt published exactly one decision.
+    if (sched.rebuild_count() != rebuilds) {
+      decisions.push_back(
+          {sched.rebuild_count(), sched.params(), sched.scheme()->to_rows()});
     }
   }
-  sched.set_trace_sink(nullptr);
-  return rec.decisions();
+  return decisions;
 }
 
-std::vector<core::SchedEvent> make_synthetic_trace(std::uint64_t seed,
+std::vector<SchedEvent> make_synthetic_trace(std::uint64_t seed,
                                                    std::size_t n_threads,
                                                    std::size_t n_types,
                                                    std::size_t n_transactions) {
-  using Kind = core::SchedEvent::Kind;
+  using Kind = obs::Event;
   util::Xoshiro256 rng(seed);
-  std::vector<core::SchedEvent> trace;
+  std::vector<SchedEvent> trace;
 
   // Per-thread lifecycle state: the announced type (kNoTx when idle) and
   // the aborts left before this transaction resolves.

@@ -7,9 +7,10 @@
 // regardless of which backend produced the trace. This harness makes that
 // contract executable three ways:
 //
-//   * capture: a SchedulerTraceSink recording the live event stream and
-//     every rebuild decision (scheme rows + thresholds) of a running
-//     backend;
+//   * capture: an obs::SchedTraceRecorder attached to a backend's observer
+//     (MachineConfig::events / ThreadedExecutor::Options::events) records
+//     the live event stream and every rebuild decision (scheme rows +
+//     thresholds);
 //   * replay: feed a captured or synthetic stream into a freshly
 //     constructed scheduler and collect the decisions it takes;
 //   * diff: report the first divergence between two decision streams.
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,43 +30,16 @@
 
 namespace seer::check {
 
-// One rebuild's outcome: the thresholds in force and the inferred scheme.
-struct SchedDecision {
-  std::uint64_t rebuild = 0;
-  core::InferenceParams params{};
-  std::vector<std::vector<core::TxTypeId>> rows;
-
-  friend bool operator==(const SchedDecision& a, const SchedDecision& b) {
-    return a.rebuild == b.rebuild && a.params.th1 == b.params.th1 &&
-           a.params.th2 == b.params.th2 && a.rows == b.rows;
-  }
-};
-
-// Flattens a scheme into comparable per-type lock rows.
-[[nodiscard]] std::vector<std::vector<core::TxTypeId>> scheme_rows(
-    const core::LockScheme& scheme);
-
-// Mutex-guarded recorder, installable on a live scheduler.
-class SchedTraceRecorder final : public core::SchedulerTraceSink {
- public:
-  void on_event(const core::SchedEvent& e) noexcept override;
-  void on_rebuild(std::uint64_t rebuild_index, const core::InferenceParams& params,
-                  const core::LockScheme& scheme) noexcept override;
-
-  [[nodiscard]] std::vector<core::SchedEvent> events() const;
-  [[nodiscard]] std::vector<SchedDecision> decisions() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<core::SchedEvent> events_;
-  std::vector<SchedDecision> decisions_;
-};
+// The capture types are the observer spine's (obs/observer.hpp).
+using obs::SchedDecision;
+using obs::SchedEvent;
+using obs::SchedTraceRecorder;
 
 // Replays `events` into `sched` (freshly constructed, same SeerConfig as
-// the capture) and returns the decisions it takes. Restores the scheduler's
-// previous trace sink before returning.
+// the capture) and returns the decisions it takes, read back after each
+// maintenance call that rebuilt.
 [[nodiscard]] std::vector<SchedDecision> replay_trace(
-    core::SeerScheduler& sched, const std::vector<core::SchedEvent>& events);
+    core::SeerScheduler& sched, const std::vector<SchedEvent>& events);
 
 // Deterministic synthetic trace: `n_transactions` plausible transaction
 // lifecycles (announce → aborts* → commit-or-fallback → clear) interleaved
@@ -74,7 +47,7 @@ class SchedTraceRecorder final : public core::SchedulerTraceSink {
 // on an advancing clock. The same (seed, shape) always yields the same
 // trace, so it can be fed to scheduler instances owned by different
 // backends and their decisions compared.
-[[nodiscard]] std::vector<core::SchedEvent> make_synthetic_trace(
+[[nodiscard]] std::vector<SchedEvent> make_synthetic_trace(
     std::uint64_t seed, std::size_t n_threads, std::size_t n_types,
     std::size_t n_transactions);
 

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 namespace seer::core {
 
-namespace {
-
-std::uint64_t monotonic_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-SeerScheduler::SeerScheduler(const SeerConfig& cfg)
+SeerScheduler::SeerScheduler(const SeerConfig& cfg, obs::Observer* observer)
     : cfg_(cfg),
+      observer_(observer),
       active_(cfg.n_threads),
       scheme_(std::make_shared<LockScheme>(cfg.n_types)),
       params_(cfg.initial_params),
@@ -43,19 +32,6 @@ SeerScheduler::SeerScheduler(const SeerConfig& cfg)
         std::make_unique<ThreadStats>(cfg.n_types, cfg.stats_sample_period));
   }
   sharded_ = std::make_unique<ShardedStats>(cfg_.n_types, shard_layout());
-  if (cfg_.metrics != nullptr) {
-    metrics_ = cfg_.metrics;
-    m_announces_ = metrics_->counter("seer.announces");
-    m_aborts_ = metrics_->counter("seer.aborts");
-    m_commits_ = metrics_->counter("seer.commits");
-    m_rebuilds_ = metrics_->counter("seer.rebuilds");
-    m_climber_steps_ = metrics_->counter("seer.climber_steps");
-    h_scheme_edges_ = metrics_->histogram("seer.scheme_edges");
-    m_shards_merged_ = metrics_->counter("seer.rebuild.shards_merged");
-    h_rebuild_ns_ = metrics_->histogram("seer.rebuild.ns");
-  }
-  obs_trace_ = cfg_.obs_trace;
-  recorder_ = cfg_.recorder;
   if (cfg_.stats_decay < 1.0) {
     decayed_aborts_.assign(cfg.n_types * cfg.n_types, 0.0);
     decayed_commits_.assign(cfg.n_types * cfg.n_types, 0.0);
@@ -98,9 +74,7 @@ std::uint64_t SeerScheduler::executions_seen() const noexcept {
 }
 
 bool SeerScheduler::maybe_update(ThreadId thread, std::uint64_t now) {
-  if (trace_) {
-    trace_->on_event({SchedEvent::Kind::kMaybeUpdate, thread, kNoTx, now});
-  }
+  emit<obs::Event::kMaybeUpdate>(thread, kNoTx, now);
   if (thread != 0) return false;  // single designated maintainer — no locks
   const std::uint64_t seen = executions_seen();
   // Storm probe (storm_response): runs at a finer cadence than the rebuild
@@ -140,15 +114,12 @@ bool SeerScheduler::maybe_update(ThreadId thread, std::uint64_t now) {
 }
 
 void SeerScheduler::force_update(std::uint64_t now) {
-  if (trace_) {
-    trace_->on_event({SchedEvent::Kind::kForceUpdate, /*thread=*/0, kNoTx, now});
-  }
+  emit<obs::Event::kForceUpdate>(/*thread=*/0, kNoTx, now);
   rebuild(now);
 }
 
 void SeerScheduler::rebuild(std::uint64_t now) {
-  const bool timing = cfg_.measure_rebuild_ns && metrics_ != nullptr;
-  const std::uint64_t t_start = timing ? monotonic_ns() : 0;
+  const std::uint64_t t_start = observer_ ? observer_->rebuild_clock() : 0;
   ++rebuilds_;
 
   // Hill-climber epoch boundary: score the thresholds that were live during
@@ -164,9 +135,9 @@ void SeerScheduler::rebuild(std::uint64_t now) {
           static_cast<double>(now - time_at_last_epoch_);
       const HillClimber::Point p = climber_.feed(throughput);
       params_ = InferenceParams{.th1 = p.x, .th2 = p.y};
-      if (metrics_) metrics_->add(m_climber_steps_, 0);
-      if (obs_trace_) {
-        obs_trace_->emit(0, obs::TraceKind::kClimberStep, now, climber_.epochs());
+      if (observer_) {
+        observer_->emit<obs::Layer::kSeer, obs::Event::kClimberStep>(
+            0, climber_.epochs(), now);
       }
     }
     commits_at_last_epoch_ = commits;
@@ -268,30 +239,21 @@ void SeerScheduler::rebuild(std::uint64_t now) {
   }
   cur_buf_ = 1 - cur_buf_;
 
-  auto next = build_lock_scheme(*inference_input, params_);
-  if (trace_) trace_->on_rebuild(rebuilds_, params_, *next);
-  if (metrics_) {
-    metrics_->add(m_rebuilds_, 0);
-    metrics_->observe(h_scheme_edges_, 0, next->edge_count());
-    metrics_->add(m_shards_merged_, 0, shards_folded);
-  }
-  if (obs_trace_) {
-    obs_trace_->emit(0, obs::TraceKind::kSchemeRebuild, now, next->edge_count());
-  }
-  std::atomic_store_explicit(&scheme_, std::move(next), std::memory_order_release);
+  std::shared_ptr<const LockScheme> next = build_lock_scheme(*inference_input, params_);
+  std::atomic_store_explicit(&scheme_, next, std::memory_order_release);
 
-  // Flight-recorder feed: the cheap per-rebuild sample always goes in (it
-  // drives the anomaly detectors); the full model capture happens only when
-  // the recorder's trigger — periodic cadence or storm entry — fires.
-  if (recorder_ != nullptr) {
-    const obs::RebuildSample sample{now, rebuilds_, executions_seen(),
-                                    total_commits()};
-    if (recorder_->on_rebuild(sample)) {
-      recorder_->record(make_model_snapshot(now));
-    }
+  // Observer feed: metrics, trace and the check-harness decision stream
+  // always; the flight recorder's full model capture only when its trigger
+  // (periodic cadence or storm entry) fires.
+  if (observer_) {
+    const obs::RebuildInfo info{.sample = {now, rebuilds_, executions_seen(),
+                                           total_commits()},
+                                .shards_folded = shards_folded,
+                                .started_ns = t_start,
+                                .params = params_,
+                                .scheme = next.get()};
+    observer_->rebuild(info, [&] { return make_model_snapshot(now); });
   }
-
-  if (timing) metrics_->observe(h_rebuild_ns_, 0, monotonic_ns() - t_start);
 }
 
 obs::ModelSnapshot SeerScheduler::make_model_snapshot(std::uint64_t now) const {
@@ -300,7 +262,6 @@ obs::ModelSnapshot SeerScheduler::make_model_snapshot(std::uint64_t now) const {
   snap.rebuild = rebuilds_;
   snap.executions = executions_seen();
   snap.commits = total_commits();
-  snap.sgl_fallbacks = recorder_ != nullptr ? recorder_->sgl_fallbacks() : 0;
   snap.th1 = params_.th1;
   snap.th2 = params_.th2;
   const HillClimber::State hc = climber_.state();

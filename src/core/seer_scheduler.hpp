@@ -26,10 +26,8 @@
 #include "core/storm_detector.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "util/cacheline.hpp"
 
 namespace seer::core {
@@ -114,67 +112,14 @@ struct SeerConfig {
   // everything, 1 = change nothing). Only meaningful with storm_response.
   double storm_decay = 0.25;
   StormConfig storm{};
-  // Observe wall-clock rebuild latency into the `seer.rebuild.ns` histogram.
-  // Off by default: reading the clock on the maintenance path is harmless
-  // but the observation is nondeterministic, so byte-identity-checked runs
-  // keep it disabled (the histogram itself is always registered so metric
-  // ordering never depends on this flag).
-  bool measure_rebuild_ns = false;
-
-  // --- observability (src/obs/, DESIGN.md §8) ----------------------------
-  // Optional sinks; both must outlive the scheduler and be frozen/drained by
-  // the embedding. nullptr (default) disables with one predicted branch per
-  // event.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceSink* obs_trace = nullptr;
-  // Model flight recorder (src/obs/flight_recorder.hpp): fed once per scheme
-  // rebuild on the maintenance path; when its trigger fires the scheduler
-  // builds a full ModelSnapshot. Never consulted on the per-event hot path.
-  obs::FlightRecorder* recorder = nullptr;
-};
-
-// One scheduler-facing event, as a backend-agnostic value. The five calls
-// the backends drive the scheduler with (announce/clear/record_abort/
-// record_commit/maybe_update, plus the test-only force_update) map 1:1 onto
-// the kinds, so a captured stream can be replayed verbatim into a fresh
-// scheduler — the foundation of the cross-backend differential harness
-// (src/check/differential.hpp).
-struct SchedEvent {
-  enum class Kind : std::uint8_t {
-    kAnnounce,
-    kClear,
-    kAbort,
-    kCommit,
-    kMaybeUpdate,
-    kForceUpdate,
-  };
-  Kind kind = Kind::kAnnounce;
-  ThreadId thread = 0;
-  TxTypeId tx = kNoTx;     // kAnnounce/kAbort/kCommit only
-  std::uint64_t now = 0;   // kMaybeUpdate/kForceUpdate only
-
-  friend constexpr bool operator==(const SchedEvent& a, const SchedEvent& b) noexcept {
-    return a.kind == b.kind && a.thread == b.thread && a.tx == b.tx && a.now == b.now;
-  }
-};
-
-// Opt-in observer of the scheduler's event stream and rebuild decisions.
-// on_event fires before the call is processed; on_rebuild fires after a
-// rebuild publishes its scheme. Calls arrive on whichever thread drove the
-// scheduler — implementations used under real concurrency must synchronize
-// internally, and live-capture-equals-replay holds only for runs driven by
-// a single thread (the simulator, or a round-robin test driver).
-class SchedulerTraceSink {
- public:
-  virtual ~SchedulerTraceSink() = default;
-  virtual void on_event(const SchedEvent& e) noexcept = 0;
-  virtual void on_rebuild(std::uint64_t rebuild_index, const InferenceParams& params,
-                          const LockScheme& scheme) noexcept = 0;
 };
 
 class SeerScheduler {
  public:
-  explicit SeerScheduler(const SeerConfig& cfg);
+  // `observer` (obs/observer.hpp) receives the scheduler-layer events and
+  // rebuild decisions; it must outlive the scheduler. nullptr (default)
+  // costs one predicted branch per event.
+  explicit SeerScheduler(const SeerConfig& cfg, obs::Observer* observer = nullptr);
   SeerScheduler(const SeerScheduler&) = delete;
   SeerScheduler& operator=(const SeerScheduler&) = delete;
 
@@ -182,12 +127,11 @@ class SeerScheduler {
 
   // --- hot path -----------------------------------------------------------
   void announce(ThreadId thread, TxTypeId tx) noexcept {
-    if (trace_) trace_->on_event({SchedEvent::Kind::kAnnounce, thread, tx, 0});
-    if (metrics_) metrics_->add(m_announces_, thread);
+    emit<obs::Event::kAnnounce>(thread, tx);
     active_.announce(thread, tx);
   }
   void clear(ThreadId thread) noexcept {
-    if (trace_) trace_->on_event({SchedEvent::Kind::kClear, thread, kNoTx, 0});
+    emit<obs::Event::kClear>(thread, kNoTx);
     active_.clear(thread);
   }
 
@@ -199,13 +143,11 @@ class SeerScheduler {
   // are scarce, otherwise the scheduler could never learn its way out of
   // them.
   void record_abort(ThreadId thread, TxTypeId tx) noexcept {
-    if (trace_) trace_->on_event({SchedEvent::Kind::kAbort, thread, tx, 0});
-    if (metrics_) metrics_->add(m_aborts_, thread);
+    emit<obs::Event::kAbort>(thread, tx);
     slabs_[thread]->record_abort(tx, thread, active_);
   }
   void record_commit(ThreadId thread, TxTypeId tx) noexcept {
-    if (trace_) trace_->on_event({SchedEvent::Kind::kCommit, thread, tx, 0});
-    if (metrics_) metrics_->add(m_commits_, thread);
+    emit<obs::Event::kCommit>(thread, tx);
     slabs_[thread]->record_commit(tx, thread, active_);
   }
 
@@ -236,11 +178,6 @@ class SeerScheduler {
 
   // Unconditional rebuild (tests, and the SGL-wait trigger).
   void force_update(std::uint64_t now);
-
-  // --- check-harness instrumentation (src/check/) ---------------------------
-  // Installs an event/decision observer; nullptr disables. Install before
-  // any thread drives the scheduler and remove only after they stop.
-  void set_trace_sink(SchedulerTraceSink* sink) noexcept { trace_ = sink; }
 
   // --- introspection --------------------------------------------------------
   [[nodiscard]] InferenceParams params() const noexcept { return params_; }
@@ -276,24 +213,18 @@ class SeerScheduler {
  private:
   void rebuild(std::uint64_t now);
   [[nodiscard]] std::vector<std::size_t> shard_layout() const;
+  // The one instrumentation point: one null test per event.
+  template <obs::Event E>
+  void emit(ThreadId thread, TxTypeId tx, std::uint64_t now = 0) noexcept {
+    if (observer_) {
+      observer_->emit<obs::Layer::kSeer, E>(thread, static_cast<std::uint64_t>(tx), now);
+    }
+  }
 
   SeerConfig cfg_;
+  obs::Observer* observer_;
   ActiveTxTable active_;
   std::vector<std::unique_ptr<ThreadStats>> slabs_;
-  SchedulerTraceSink* trace_ = nullptr;
-
-  // Observability sinks (SeerConfig::metrics / obs_trace; dormant when null).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceSink* obs_trace_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
-  obs::MetricId m_announces_ = obs::kNoMetric;
-  obs::MetricId m_aborts_ = obs::kNoMetric;
-  obs::MetricId m_commits_ = obs::kNoMetric;
-  obs::MetricId m_rebuilds_ = obs::kNoMetric;
-  obs::MetricId m_climber_steps_ = obs::kNoMetric;
-  obs::MetricId h_scheme_edges_ = obs::kNoMetric;
-  obs::MetricId m_shards_merged_ = obs::kNoMetric;
-  obs::MetricId h_rebuild_ns_ = obs::kNoMetric;
 
   std::shared_ptr<const LockScheme> scheme_;
   InferenceParams params_;

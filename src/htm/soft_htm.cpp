@@ -53,10 +53,6 @@ void SoftHtm::ThreadContext::begin() {
   ++attempt_count_;
   op_index_ = 0;
   read_version_ = tm_.clock_.load(std::memory_order_acquire);
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxBegin, obs::now_ticks(),
-               attempt_count_ - 1);
-  }
   maybe_fault(TxOp::kBegin);
 }
 
@@ -69,10 +65,6 @@ void SoftHtm::ThreadContext::rollback() noexcept {
 }
 
 void SoftHtm::ThreadContext::abort_with(AbortStatus status) {
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
-               static_cast<std::uint64_t>(status.cause()));
-  }
   throw TxAbortException{status};
 }
 
@@ -114,10 +106,8 @@ void SoftHtm::ThreadContext::promote_reads(bool saturated) {
   } else {
     ++promote_capacity_;
   }
-  if (metrics_.registry != nullptr) {
-    metrics_.registry->add(
-        saturated ? metrics_.promote_saturation : metrics_.promote_capacity,
-        metrics_.lane);
+  if (observer_) {
+    observer_->emit<obs::Layer::kHtm, obs::Event::kReadPromote>(lane_, saturated ? 1 : 0);
   }
   if (enforce_capacity_ && reads_.size() > tm_.cfg_.max_read_set) {
     abort_capacity();
@@ -131,10 +121,9 @@ void SoftHtm::ThreadContext::promote_reads(bool saturated) {
 // did. Read-capacity aborts always land in the exact bucket by
 // construction — Tier 0 promotes at the budget instead of aborting.
 void SoftHtm::ThreadContext::abort_capacity() {
-  if (metrics_.registry != nullptr) {
-    metrics_.registry->add(read_tier_exact_ ? metrics_.capacity_abort_exact
-                                            : metrics_.capacity_abort_sig,
-                           metrics_.lane);
+  if (observer_) {
+    const std::uint64_t tier = read_tier_exact_ ? 1 : 0;
+    observer_->emit<obs::Layer::kHtm, obs::Event::kAbort>(lane_, tier);
   }
   abort_with(AbortStatus::capacity());
 }
@@ -184,9 +173,6 @@ AbortStatus SoftHtm::ThreadContext::commit() {
                                .writer = false,
                                .reads = read_log_,
                                .writes = {}});
-    }
-    if (obs_ != nullptr) {
-      obs_->emit(obs_lane_, obs::TraceKind::kTxCommit, obs::now_ticks(), 0);
     }
     rollback();
     return AbortStatus(kXBeginStarted);
@@ -300,9 +286,6 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     rec.writes.reserve(writes_.size());
     for (const WriteEntry& e : writes_) rec.writes.push_back(TxWrite{e.addr, e.value});
     log_->push_back(std::move(rec));
-  }
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxCommit, obs::now_ticks(), writes_.size());
   }
   rollback();
   return AbortStatus(kXBeginStarted);

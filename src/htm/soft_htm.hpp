@@ -35,28 +35,13 @@
 #include "htm/abort_code.hpp"
 #include "htm/access_set.hpp"
 #include "htm/instrument.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "util/cacheline.hpp"
 
 namespace seer::htm {
 
 // A transactionally managed machine word.
 using TmWord = std::atomic<std::uint64_t>;
-
-// Pre-registered metric ids a ThreadContext bumps at read-tier promotions
-// and capacity aborts (never per access — the hot path stays untouched).
-// The embedder registers the counters on its MetricsRegistry before
-// freeze(), then installs the ids via ThreadContext::set_metrics; the
-// registry must outlive every attempt run on the context.
-struct HtmMetrics {
-  obs::MetricsRegistry* registry = nullptr;
-  core::ThreadId lane = 0;
-  obs::MetricId promote_capacity = obs::kNoMetric;    // htm.read_promote.capacity
-  obs::MetricId promote_saturation = obs::kNoMetric;  // htm.read_promote.saturation
-  obs::MetricId capacity_abort_sig = obs::kNoMetric;  // htm.aborts.capacity.sig_only
-  obs::MetricId capacity_abort_exact = obs::kNoMetric;  // htm.aborts.capacity.exact
-};
 
 // Thrown by transactional accesses when the transaction must roll back; the
 // driver (SoftHtm::ThreadContext::attempt) catches it — user code must let
@@ -138,7 +123,12 @@ class SoftHtm {
   // allocations once the vectors and tables are warm.
   class ThreadContext {
    public:
-    explicit ThreadContext(SoftHtm& tm)
+    // `observer` (obs/observer.hpp) receives the TM-layer events — read-tier
+    // promotions and capacity aborts, never the per-access path — on metrics
+    // lane `lane`. It must outlive every attempt run on this context; nullptr
+    // disables.
+    explicit ThreadContext(SoftHtm& tm, obs::Observer* observer = nullptr,
+                           core::ThreadId lane = 0)
         : tm_(tm),
           stripe_mask_(tm.stripe_mask_),
           stripe_tab_(tm.stripes_.get()),
@@ -149,7 +139,9 @@ class SoftHtm {
           t0_check_(t0_buf_.get() + (tm.cfg_.max_read_set < kT0SatCheckStride
                                          ? tm.cfg_.max_read_set
                                          : kT0SatCheckStride)),
-          stamps_(std::make_unique<std::uint64_t[]>(tm.cfg_.stripes)) {}
+          stamps_(std::make_unique<std::uint64_t[]>(tm.cfg_.stripes)),
+          observer_(observer),
+          lane_(lane) {}
     ThreadContext(const ThreadContext&) = delete;
     ThreadContext& operator=(const ThreadContext&) = delete;
 
@@ -227,20 +219,6 @@ class SoftHtm {
     // transaction (speculative or capacity-exempt fallback) appends one
     // TxRecord to `log`. nullptr disables.
     void set_tx_log(TxLog* log) noexcept { log_ = log; }
-
-    // --- observability (src/obs/) ----------------------------------------
-    // Emits tx begin/commit/abort events into `lane` of the sink (RDTSC
-    // timestamps via obs::now_ticks). The sink must outlive every attempt
-    // run on this context; nullptr disables.
-    void set_obs(obs::TraceSink* sink, core::ThreadId lane) noexcept {
-      obs_ = sink;
-      obs_lane_ = lane;
-    }
-    // Installs pre-registered promotion/capacity-abort counters (see
-    // HtmMetrics). Bumped only at tier promotions and capacity aborts —
-    // never on the per-access path. The registry must outlive every attempt
-    // run on this context; a default-constructed HtmMetrics disables.
-    void set_metrics(const HtmMetrics& m) noexcept { metrics_ = m; }
 
    private:
     friend class Tx;
@@ -369,10 +347,8 @@ class SoftHtm {
     // Check-harness state (dormant unless installed).
     FaultInjector* fault_ = nullptr;
     TxLog* log_ = nullptr;
-    // Observability trace sink (dormant unless installed).
-    obs::TraceSink* obs_ = nullptr;
-    core::ThreadId obs_lane_ = 0;
-    HtmMetrics metrics_;  // promotion/capacity counters (dormant unless set)
+    obs::Observer* observer_;  // TM-layer events (dormant when null)
+    core::ThreadId lane_;
     std::uint64_t attempt_count_ = 0;  // begins seen by this context
     std::uint64_t op_index_ = 0;       // ops within the current attempt
     std::vector<TxRead> read_log_;     // observed reads, program order

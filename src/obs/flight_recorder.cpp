@@ -1,29 +1,16 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+
+#include "util/format.hpp"
 
 namespace seer::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_rate(std::string& out, double v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
+using util::append_fixed6;
+using util::append_u64;
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
-    : cfg_(cfg), detector_(cfg.storm()) {
+    : cfg_(cfg), detector_(cfg.storm) {
   if (cfg_.capacity == 0) cfg_.capacity = 1;
   ring_.reserve(cfg_.capacity);
 }
@@ -83,6 +70,7 @@ bool FlightRecorder::on_rebuild(const RebuildSample& s) {
 
 void FlightRecorder::push(ModelSnapshot&& snap) {
   snap.seq = captured_;
+  snap.sgl_fallbacks = sgl_fallbacks();
   ModelSnapshot* stored = nullptr;
   if (ring_.size() < cfg_.capacity) {
     ring_.push_back(std::move(snap));
@@ -154,7 +142,7 @@ std::string FlightRecorder::to_json() const {
     out += ", \"end_rebuild\": ";
     append_u64(out, ep.end_rebuild);
     out += ", \"peak_rate\": ";
-    append_rate(out, ep.peak_rate);
+    append_fixed6(out, ep.peak_rate);
     out += ", \"open\": ";
     out += ep.open ? "true" : "false";
     out += "}";

@@ -14,9 +14,9 @@
 //
 // Anomaly detection works on the *window* between consecutive rebuilds:
 //   abort storm — window abort rate (1 - commits/executions) crosses
-//       `abort_rate_enter`; re-arms when it falls below `abort_rate_exit`;
+//       `storm.abort_rate_enter`; re-arms below `storm.abort_rate_exit`;
 //   SGL storm  — window SGL fallbacks per execution crosses
-//       `sgl_rate_enter`; re-arms below `sgl_rate_exit`.
+//       `storm.sgl_rate_enter`; re-arms below `storm.sgl_rate_exit`.
 // Both detectors carry hysteresis so a rate hovering around the threshold
 // produces one episode, not a capture per rebuild. Entering an episode
 // forces a capture (reason "anomaly") regardless of the periodic cadence;
@@ -41,23 +41,10 @@ struct FlightRecorderConfig {
   // Capture every `period`-th rebuild; 0 disables periodic capture (anomaly
   // and final captures still fire).
   std::uint64_t period = 8;
-  // Abort-storm detector thresholds (window abort rate), with hysteresis.
-  double abort_rate_enter = 0.90;
-  double abort_rate_exit = 0.60;
-  // SGL-storm detector thresholds (window fallbacks per execution).
-  double sgl_rate_enter = 0.25;
-  double sgl_rate_exit = 0.05;
-  // Windows with fewer executions than this carry too little evidence to
-  // classify and are skipped by the detectors.
-  std::uint64_t min_window_events = 64;
-
-  // The recorder's thresholds as the shared core state machine's config
-  // (core/storm_detector.hpp — the same detector drives the scheduler's
-  // online re-inference loop).
-  [[nodiscard]] core::StormConfig storm() const noexcept {
-    return core::StormConfig{abort_rate_enter, abort_rate_exit, sgl_rate_enter,
-                             sgl_rate_exit, min_window_events};
-  }
+  // Abort-/SGL-storm thresholds and the evidence floor, with hysteresis:
+  // the shared core state machine's config (core/storm_detector.hpp — the
+  // same detector drives the scheduler's online re-inference loop).
+  core::StormConfig storm{};
 };
 
 // Per-rebuild feed for the trigger logic: exact lifetime tallies, cheap to

@@ -1,19 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/format.hpp"
 
 namespace seer::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-}  // namespace
+using util::append_u64;
 
 std::string MetricsSnapshot::to_json() const {
   if (counters.empty() && gauges.empty() && histograms.empty()) return "{}";
@@ -69,7 +60,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     cs.name = counter_names_[c];
     if (frozen_) {
       for (std::size_t t = 0; t < n_threads_; ++t) {
-        cs.value += lanes_[t][c].load(std::memory_order_relaxed);
+        cs.value += lanes_[t * lane_len_ + c].load(std::memory_order_relaxed);
       }
     }
     snap.counters.push_back(std::move(cs));
@@ -88,7 +79,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     if (frozen_) {
       const std::size_t base = counter_names_.size() + h * kHistogramSlots;
       for (std::size_t t = 0; t < n_threads_; ++t) {
-        const Cell* block = &lanes_[t][base];
+        const Cell* block = &lanes_[t * lane_len_ + base];
         for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
           hs.buckets[b] += block[b].load(std::memory_order_relaxed);
         }

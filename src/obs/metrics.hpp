@@ -13,14 +13,14 @@
 //      null-pointer branch per instrumentation point and nothing else.
 //
 // The implementation copies the ThreadStats recipe (core/conflict_stats.hpp):
-// every thread owns one contiguous cache-line-aligned slab holding its lane
-// of every registered metric. A counter bump is a relaxed load+store to a
-// line only the owner writes; a histogram observation is three such bumps
-// (bucket, count, sum). The snapshot thread sums lanes with relaxed loads —
-// the single-writer/multi-reader pattern used throughout this codebase, and
-// the reason snapshots need no synchronization: each lane value read is a
-// valid (possibly slightly stale) count, and after the owners quiesce a
-// snapshot is exact.
+// every thread owns one contiguous cache-line-aligned lane (whole lines of a
+// single slab) holding its cell of every registered metric. A counter bump
+// is a relaxed load+store to a line only the owner writes; a histogram
+// observation is three such bumps (bucket, count, sum). The snapshot thread
+// sums lanes with relaxed loads — the single-writer/multi-reader pattern
+// used throughout this codebase, and the reason snapshots need no
+// synchronization: each lane value read is a valid (possibly slightly
+// stale) count, and after the owners quiesce a snapshot is exact.
 //
 // Lifecycle: components register metrics while the embedding is being built
 // (single-threaded), the owner calls freeze() once to allocate the lanes,
@@ -28,6 +28,7 @@
 // name so two components can share a metric deliberately.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -122,12 +123,14 @@ class MetricsRegistry {
   void freeze() {
     if (frozen_) return;
     frozen_ = true;
-    lane_len_ = counter_names_.size() + histogram_names_.size() * kHistogramSlots;
-    lanes_.reserve(n_threads_);
-    for (std::size_t t = 0; t < n_threads_; ++t) {
-      lanes_.push_back(util::make_cache_aligned_slab<Cell>(
-          lane_len_ == 0 ? 1 : lane_len_));
-    }
+    // Every lane is a whole number of cache lines of one slab, so no two
+    // threads' lanes share a line and a bump is one load off the slab base.
+    constexpr std::size_t kCellsPerLine = util::kCacheLineBytes / sizeof(Cell);
+    const std::size_t cells =
+        counter_names_.size() + histogram_names_.size() * kHistogramSlots;
+    lane_len_ = (cells + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
+    lanes_ = util::make_cache_aligned_slab<Cell>(
+        std::max<std::size_t>(n_threads_ * lane_len_, 1));
     gauge_cells_ = util::make_cache_aligned_slab<Cell>(
         gauge_names_.empty() ? 1 : gauge_names_.size());
   }
@@ -137,12 +140,12 @@ class MetricsRegistry {
   // --- hot path (owner thread only per lane) ------------------------------
   void add(MetricId c, core::ThreadId thread, std::uint64_t delta = 1) noexcept {
     assert(frozen_ && thread < n_threads_ && c < counter_names_.size());
-    bump(lanes_[thread][c], delta);
+    bump(lanes_[thread * lane_len_ + c], delta);
   }
   void observe(MetricId h, core::ThreadId thread, std::uint64_t value) noexcept {
     assert(frozen_ && thread < n_threads_ && h < histogram_names_.size());
-    Cell* block = &lanes_[thread][counter_names_.size() +
-                                  static_cast<std::size_t>(h) * kHistogramSlots];
+    Cell* block = &lanes_[thread * lane_len_ + counter_names_.size() +
+                          static_cast<std::size_t>(h) * kHistogramSlots];
     bump(block[bucket_of(value)], 1);
     bump(block[kHistogramBuckets], 1);      // count
     bump(block[kHistogramBuckets + 1], value);  // sum
@@ -177,7 +180,7 @@ class MetricsRegistry {
   std::vector<std::string> counter_names_;
   std::vector<std::string> histogram_names_;
   std::vector<std::string> gauge_names_;
-  std::vector<util::CacheAlignedSlab<Cell>> lanes_;
+  util::CacheAlignedSlab<Cell> lanes_;  // n_threads_ lanes of lane_len_ cells
   util::CacheAlignedSlab<Cell> gauge_cells_;
 };
 

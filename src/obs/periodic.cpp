@@ -1,7 +1,6 @@
 #include "obs/periodic.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/format.hpp"
 
 namespace seer::obs {
 
@@ -25,12 +24,10 @@ std::string PeriodicMetricsDelta::delta_fields(
       }
     }
     if (!wanted) continue;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, delta);
     out += ", \"";
     out += c.name;  // registered names are plain identifiers, no escaping
     out += "\": ";
-    out += buf;
+    util::append_u64(out, delta);
   }
   return out;
 }

@@ -1,17 +1,12 @@
 #include "obs/prom.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/format.hpp"
 
 namespace seer::obs {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
+using util::append_u64;
 
 bool valid_name_char(char c, bool first) {
   if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':') {

@@ -1,34 +1,12 @@
 #include "obs/snapshot.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/format.hpp"
 
 namespace seer::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-// Shortest round-trippable-enough form: thresholds and scores are plain
-// doubles computed deterministically, and %.9g prints them identically on
-// every run — the formatting half of the --jobs byte-identity contract.
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-void append_prob(std::string& out, double v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
+using util::append_dbl;
+using util::append_fixed6;
+using util::append_u64;
 
 void ModelSnapshot::append_json(std::string& out) const {
   out += "{\"seq\": ";
@@ -94,11 +72,10 @@ void ModelSnapshot::append_json(std::string& out) const {
       append_u64(out, c);
       // P(x aborts | x || y) and P(x aborts ∩ x || y) — core/probability.hpp.
       out += ", \"p_cond\": ";
-      append_prob(out, static_cast<double>(a) / static_cast<double>(a + c));
+      append_fixed6(out, static_cast<double>(a) / static_cast<double>(a + c));
       out += ", \"p_conj\": ";
       const std::uint64_t e = execs[x];
-      append_prob(out,
-                  e == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(e));
+      append_fixed6(out, e == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(e));
       out += "}";
     }
   }

@@ -49,7 +49,8 @@ struct ModelSnapshot {
   std::uint64_t now = 0;      // logical clock of the embedding (cycles/ticks)
   std::uint64_t rebuild = 0;  // scheduler rebuild count at capture
 
-  // Exact (unsampled) lifetime tallies at capture.
+  // Exact (unsampled) lifetime tallies at capture; sgl_fallbacks is the
+  // FlightRecorder's own grant count, stamped on record().
   std::uint64_t executions = 0;
   std::uint64_t commits = 0;
   std::uint64_t sgl_fallbacks = 0;

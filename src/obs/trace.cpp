@@ -7,6 +7,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/observer.hpp"
+
 namespace seer::obs {
 
 std::uint64_t now_ticks() noexcept {
@@ -114,12 +116,12 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   for (const TraceEvent& e : events) {
     last_ts = e.ts;
     switch (e.kind) {
-      case TraceKind::kTxBegin:
+      case Event::kTxBegin:
         emit_record("tx", "B", e.ts, e.thread, e.arg, false);
         ++depth[e.thread];
         break;
-      case TraceKind::kTxCommit:
-      case TraceKind::kTxAbort:
+      case Event::kCommit:
+      case Event::kAbort:
         if (depth[e.thread] > 0) {
           emit_record(to_string(e.kind), "E", e.ts, e.thread, e.arg, false);
           --depth[e.thread];
@@ -144,7 +146,7 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
 }
 
 std::string TraceSink::summary() const {
-  constexpr std::size_t kKinds = static_cast<std::size_t>(TraceKind::kKindCount);
+  constexpr std::size_t kKinds = kTracedEvents;
   std::vector<std::array<std::uint64_t, kKinds>> per_lane(lanes_.size());
   for (auto& row : per_lane) row.fill(0);
   for (const TraceEvent& e : drain_sorted()) {
@@ -155,7 +157,7 @@ std::string TraceSink::summary() const {
   std::string out = "thread";
   for (std::size_t k = 0; k < kKinds; ++k) {
     out += "  ";
-    out += to_string(static_cast<TraceKind>(k));
+    out += to_string(static_cast<Event>(k));
   }
   out += "  lost\n";
   char buf[96];
@@ -163,7 +165,7 @@ std::string TraceSink::summary() const {
     std::snprintf(buf, sizeof buf, "%6zu", t);
     out += buf;
     for (std::size_t k = 0; k < kKinds; ++k) {
-      const char* kind = to_string(static_cast<TraceKind>(k));
+      const char* kind = to_string(static_cast<Event>(k));
       std::snprintf(buf, sizeof buf, "  %*" PRIu64,
                     static_cast<int>(std::char_traits<char>::length(kind)),
                     per_lane[t][k]);

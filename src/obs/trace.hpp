@@ -28,34 +28,15 @@
 
 namespace seer::obs {
 
-enum class TraceKind : std::uint8_t {
-  kTxBegin,        // arg = transaction type
-  kTxCommit,       // arg = transaction type
-  kTxAbort,        // arg = abort cause (htm::AbortCause)
-  kSglFallback,    // arg = transaction type
-  kSchemeRebuild,  // arg = number of (type, lock) edges in the new scheme
-  kClimberStep,    // arg = tuning epoch index
-  kKindCount,
-};
-
-[[nodiscard]] constexpr const char* to_string(TraceKind k) noexcept {
-  switch (k) {
-    case TraceKind::kTxBegin: return "tx";
-    case TraceKind::kTxCommit: return "commit";
-    case TraceKind::kTxAbort: return "abort";
-    case TraceKind::kSglFallback: return "sgl_fallback";
-    case TraceKind::kSchemeRebuild: return "scheme_rebuild";
-    case TraceKind::kClimberStep: return "climber_step";
-    case TraceKind::kKindCount: break;
-  }
-  return "?";
-}
+// The event vocabulary lives with the Observer (obs/observer.hpp); the
+// ring stores its first kTracedEvents events.
+enum class Event : std::uint8_t;
 
 struct TraceEvent {
   std::uint64_t ts = 0;   // logical timestamp (cycles)
   std::uint64_t arg = 0;  // kind-specific payload
   core::ThreadId thread = 0;
-  TraceKind kind = TraceKind::kTxBegin;
+  Event kind{};
 };
 
 // Coarse RDTSC-style logical clock for embeddings without a simulated one.
@@ -70,7 +51,7 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
 
   // --- hot path: owner thread of `lane` only -------------------------------
-  void emit(core::ThreadId lane, TraceKind kind, std::uint64_t ts,
+  void emit(core::ThreadId lane, Event kind, std::uint64_t ts,
             std::uint64_t arg) noexcept {
     assert(lane < lanes_.size());
     Lane& l = *lanes_[lane];

@@ -503,14 +503,14 @@ void OracleShared::maybe_rebuild() {
 }
 
 PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
-                           std::size_t n_types)
+                           std::size_t n_types, obs::Observer* observer)
     : cfg_(cfg), n_threads_(n_threads), n_types_(n_types), ats_cf_(n_threads) {
   if (cfg_.kind == PolicyKind::kSeer) {
     core::SeerConfig sc = cfg_.seer;
     sc.n_threads = n_threads;
     sc.n_types = n_types;
     sc.max_attempts = cfg_.max_attempts;
-    seer_ = std::make_unique<core::SeerScheduler>(sc);
+    seer_ = std::make_unique<core::SeerScheduler>(sc, observer);
   }
   if (cfg_.kind == PolicyKind::kOracle) {
     oracle_ = std::make_unique<OracleShared>(n_types, cfg_.oracle);

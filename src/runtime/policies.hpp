@@ -96,10 +96,12 @@ class OracleShared {
 
 // Global state shared by all threads running one policy instance
 // (the SeerScheduler, ATS contention factors, ...). Create one per
-// experiment, then one Policy per thread from it.
+// experiment, then one Policy per thread from it. `observer` is the
+// embedding's (obs/observer.hpp), handed to the Seer scheduler.
 class PolicyShared {
  public:
-  PolicyShared(const PolicyConfig& cfg, std::size_t n_threads, std::size_t n_types);
+  PolicyShared(const PolicyConfig& cfg, std::size_t n_threads, std::size_t n_types,
+               obs::Observer* observer = nullptr);
 
   [[nodiscard]] std::unique_ptr<Policy> make_thread_policy(core::ThreadId thread);
 

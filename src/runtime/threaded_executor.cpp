@@ -1,7 +1,6 @@
 #include "runtime/threaded_executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "util/backoff.hpp"
@@ -12,34 +11,11 @@ ThreadedExecutor::ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy,
                                    Options opts)
     : tm_(tm),
       opts_(opts),
-      shared_(with_obs(policy, opts), opts.n_threads, opts.n_types),
-      locks_(opts.n_types, opts.physical_cores) {
-  if (opts_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *opts_.metrics;
-    m_commits_ = m.counter("rt.commits");
-    m_sgl_fallbacks_ = m.counter("rt.sgl_fallbacks");
-    h_retry_depth_ = m.histogram("rt.retry_depth");
-    for (std::size_t c = 0; c < m_aborts_.size(); ++c) {
-      m_aborts_[c] = m.counter(
-          std::string("rt.aborts.")
-              .append(htm::to_string(static_cast<htm::AbortCause>(c))));
-    }
-    htm_metrics_.registry = opts_.metrics;
-    htm_metrics_.promote_capacity = m.counter("htm.read_promote.capacity");
-    htm_metrics_.promote_saturation = m.counter("htm.read_promote.saturation");
-    htm_metrics_.capacity_abort_sig = m.counter("htm.aborts.capacity.sig_only");
-    htm_metrics_.capacity_abort_exact = m.counter("htm.aborts.capacity.exact");
-  }
-}
-
-std::uint64_t ThreadedExecutor::ThreadHandle::now() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_ia32_rdtsc();  // the paper's RDTSC-based feedback clock
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
+      observer_(obs::Observer::make(
+          obs::Layer::kRt, policy.kind == PolicyKind::kSeer,
+          {opts.metrics, opts.trace, opts.recorder, opts.events})),
+      shared_(with_shape(policy, opts), opts.n_threads, opts.n_types, observer_.get()),
+      locks_(opts.n_types, opts.physical_cores) {}
 
 void ThreadedExecutor::ThreadHandle::apply_releases(const Directive& d, LockList& held) {
   for (const LockId& id : d.releases) {

@@ -24,9 +24,7 @@
 
 #include "core/topology.hpp"
 #include "htm/soft_htm.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "runtime/policies.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/word_lock.hpp"
@@ -112,12 +110,18 @@ class ThreadedExecutor {
     int batch_tries = 8;
 
     // --- observability (src/obs/, DESIGN.md §8) --------------------------
-    // Optional sinks shared by the executor, the SoftHtm contexts it owns
-    // and (unless the policy config installs its own) the Seer scheduler.
-    // Both must outlive the executor; the embedder freezes the registry
-    // after constructing the executor and before spawning threads.
+    // Optional sinks. The executor builds one obs::Observer over them and
+    // hands it to the Seer scheduler, every handle and every handle's SoftHtm
+    // context. All must outlive the executor; the embedder freezes the
+    // registry after constructing the executor and before spawning threads.
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceSink* trace = nullptr;
+    // Model flight recorder: fed SGL grants and the Seer scheduler's
+    // periodic/anomaly snapshots (seer_serve's /snapshot feed).
+    obs::FlightRecorder* recorder = nullptr;
+    // Check-harness capture of the Seer scheduler's event stream and rebuild
+    // decisions (src/check/differential.hpp).
+    obs::SchedTraceRecorder* events = nullptr;
   };
 
   ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy, Options opts);
@@ -133,32 +137,31 @@ class ThreadedExecutor {
       policy_->begin_tx(tx, now());
       LockList held;
       std::uint64_t tx_attempts = 0;
+      const auto type = static_cast<std::uint64_t>(tx);  // event payload
       while (true) {
         const Directive d = policy_->next_attempt(now());
         apply_releases(d, held);
         acquire_locks(d, held);
         if (d.mode == Directive::Mode::kFallback) {
-          run_fallback(body);
+          run_fallback(type, body);
+          emit<obs::Event::kCommit>(type, tx_attempts);
           finish(/*hardware=*/false, held);
-          obs_tx_done(CommitMode::kSglFallback, tx, tx_attempts);
           return CommitMode::kSglFallback;
         }
         wait_locks(d);
         ++counters_.hw_attempts;
         ++tx_attempts;
+        emit<obs::Event::kTxBegin>(type);
         const htm::AbortStatus status = hw_attempt(body);
         if (status.raw() == htm::kXBeginStarted) {
           const CommitMode mode = classify_commit(held, /*used_sgl=*/false);
           counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
+          emit<obs::Event::kCommit>(type, tx_attempts);
           finish(/*hardware=*/true, held);
-          obs_tx_done(mode, tx, tx_attempts);
           return mode;
         }
         counters_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-        if (exec_->opts_.metrics != nullptr) {
-          exec_->opts_.metrics->add(
-              exec_->m_aborts_[static_cast<std::size_t>(status.cause())], id_);
-        }
+        emit<obs::Event::kAbort>(static_cast<std::uint64_t>(status.cause()));
         policy_->on_abort(status, now());
       }
     }
@@ -180,32 +183,17 @@ class ThreadedExecutor {
     friend class ThreadedExecutor;
     ThreadHandle(ThreadedExecutor& exec, core::ThreadId id)
         : exec_(&exec),
+          observer_(exec.observer_.get()),
           id_(id),
-          tm_ctx_(exec.tm_),
-          policy_(exec.shared_.make_thread_policy(id)) {
-      tm_ctx_.set_obs(exec.opts_.trace, id);
-      if (exec.opts_.metrics != nullptr) {
-        htm::HtmMetrics m = exec.htm_metrics_;
-        m.lane = id;
-        tm_ctx_.set_metrics(m);
-      }
-    }
+          tm_ctx_(exec.tm_, observer_, id),
+          policy_(exec.shared_.make_thread_policy(id)) {}
 
-    // Per-completed-transaction observability: one commit bump, the retry
-    // depth (hardware attempts consumed, 0 = straight to fallback), and the
-    // fallback counter/event when the SGL path was taken.
-    void obs_tx_done(CommitMode mode, core::TxTypeId tx,
-                     std::uint64_t attempts) noexcept {
-      obs::MetricsRegistry* m = exec_->opts_.metrics;
-      if (m != nullptr) {
-        m->add(exec_->m_commits_, id_);
-        m->observe(exec_->h_retry_depth_, id_, attempts);
-        if (mode == CommitMode::kSglFallback) m->add(exec_->m_sgl_fallbacks_, id_);
-      }
-      if (exec_->opts_.trace != nullptr && mode == CommitMode::kSglFallback) {
-        exec_->opts_.trace->emit(id_, obs::TraceKind::kSglFallback,
-                                 obs::now_ticks(), static_cast<std::uint64_t>(tx));
-      }
+    // The one instrumentation point: one null test per event. For kCommit
+    // `value` is the retry depth (hardware attempts consumed, 0 = straight
+    // to the SGL).
+    template <obs::Event E>
+    void emit(std::uint64_t arg, std::uint64_t value = 0) noexcept {
+      if (observer_) observer_->emit<obs::Layer::kRt, E>(id_, arg, 0, value);
     }
 
     template <typename Body>
@@ -224,7 +212,7 @@ class ThreadedExecutor {
     }
 
     template <typename Body>
-    void run_fallback(Body&& body) {
+    void run_fallback(std::uint64_t type, Body&& body) {
       // Pessimistic path: hold the SGL (blocking new hardware attempts via
       // their subscription) and run the body as an unbounded, stripe-
       // coordinated transaction so its updates are atomic even against
@@ -233,10 +221,8 @@ class ThreadedExecutor {
       // while we hold the SGL — so the retry loop terminates.
       WordLock& sgl = exec_->locks_.sgl();
       sgl.lock();
-      // Counted at grant time, as the simulator does (Machine::sgl_granted).
-      if (obs::FlightRecorder* r = exec_->shared_.config().seer.recorder) {
-        r->note_sgl_fallback();
-      }
+      // Observed at grant time, as the simulator does (Machine::sgl_granted).
+      emit<obs::Event::kSglFallback>(type);
       util::Backoff backoff;
       while (true) {
         const htm::AbortStatus s =
@@ -253,9 +239,11 @@ class ThreadedExecutor {
     void wait_locks(const Directive& d);
     void finish(bool hardware, LockList& held);
 
-    [[nodiscard]] static std::uint64_t now() noexcept;
+    // The paper's RDTSC-based feedback clock, shared with the trace ring.
+    [[nodiscard]] static std::uint64_t now() noexcept { return obs::now_ticks(); }
 
     ThreadedExecutor* exec_;
+    obs::Observer* observer_;
     core::ThreadId id_;
     htm::SoftHtm::ThreadContext tm_ctx_;
     std::unique_ptr<Policy> policy_;
@@ -280,16 +268,8 @@ class ThreadedExecutor {
  private:
   friend class ThreadHandle;
 
-  // Routes the executor-level obs sinks into the Seer scheduler unless the
-  // policy config already carries its own.
-  [[nodiscard]] static PolicyConfig with_obs(PolicyConfig policy, const Options& opts) {
-    if (policy.seer.metrics == nullptr) policy.seer.metrics = opts.metrics;
-    // Real-mode timestamps are wall-clock already, so the rebuild-cost
-    // histogram (seer.rebuild.ns) adds no new nondeterminism here; the
-    // simulator's with_obs deliberately leaves it off to keep its metrics
-    // output byte-stable.
-    if (policy.seer.metrics != nullptr) policy.seer.measure_rebuild_ns = true;
-    if (policy.seer.obs_trace == nullptr) policy.seer.obs_trace = opts.trace;
+  // Resolves the executor's machine shape into the Seer scheduler's config.
+  [[nodiscard]] static PolicyConfig with_shape(PolicyConfig policy, const Options& opts) {
     if (opts.topology && !policy.seer.topology) {
       policy.seer.topology = opts.topology;
     }
@@ -301,22 +281,11 @@ class ThreadedExecutor {
 
   htm::SoftHtm& tm_;
   Options opts_;
+  // Null unless a sink is attached; built before shared_ (the scheduler's
+  // metrics register first, then rt.* and htm.*).
+  std::unique_ptr<obs::Observer> observer_;
   PolicyShared shared_;
   LockSpace locks_;
-
-  // Observability metric ids (registered in the constructor when
-  // opts_.metrics is set; kNoMetric otherwise).
-  obs::MetricId m_commits_ = obs::kNoMetric;
-  obs::MetricId m_sgl_fallbacks_ = obs::kNoMetric;
-  obs::MetricId h_retry_depth_ = obs::kNoMetric;
-  std::array<obs::MetricId, 4> m_aborts_{obs::kNoMetric, obs::kNoMetric,
-                                         obs::kNoMetric, obs::kNoMetric};
-  // SoftHtm read-tier counters (htm.read_promote.*, htm.aborts.capacity.*),
-  // registered alongside the rt.* metrics and handed to every ThreadHandle's
-  // context with its own lane. These let abort attribution distinguish a
-  // capacity abort raised while reads were still signature-only from one
-  // raised under exact accounting.
-  htm::HtmMetrics htm_metrics_;
 };
 
 }  // namespace seer::rt

@@ -44,30 +44,20 @@ struct Machine::ThreadCtx {
 };
 
 Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
-    : cfg_(with_obs(std::move(cfg))),
+    : cfg_(with_shape(std::move(cfg))),
       topo_(cfg_.topology ? *cfg_.topology
                           : core::Topology::flat(cfg_.physical_cores)),
       workload_(std::move(workload)),
-      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types()),
+      observer_(obs::Observer::make(
+          obs::Layer::kSim, cfg_.policy.kind == rt::PolicyKind::kSeer,
+          {cfg_.metrics, cfg_.trace, cfg_.recorder, cfg_.events})),
+      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), observer_.get()),
       tx_locks_(workload_->n_types()),
       core_locks_(cfg_.physical_cores) {
   assert(topo_.valid());
   assert(cfg_.n_threads > 0 && cfg_.n_threads <= topo_.hw_threads());
   stats_.commits_by_type.assign(workload_->n_types(), 0);
   stats_.gt_conflicts.assign(workload_->n_types() * workload_->n_types(), 0);
-
-  if (cfg_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *cfg_.metrics;
-    m_commits_ = m.counter("sim.commits");
-    m_hw_attempts_ = m.counter("sim.hw_attempts");
-    m_sgl_fallbacks_ = m.counter("sim.sgl_fallbacks");
-    h_queue_depth_ = m.histogram("sim.queue_depth");
-    for (std::size_t c = 0; c < m_aborts_.size(); ++c) {
-      m_aborts_[c] = m.counter(
-          std::string("sim.aborts.")
-              .append(htm::to_string(static_cast<htm::AbortCause>(c))));
-    }
-  }
 
   util::Xoshiro256 master(cfg_.seed);
   threads_.reserve(cfg_.n_threads);
@@ -151,9 +141,7 @@ MachineStats Machine::run() {
 
   while (!queue_.empty() && done_count_ < cfg_.n_threads) {
     const Event e = queue_.pop();
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->observe(h_queue_depth_, 0, queue_.size());
-    }
+    emit<obs::Event::kDispatch>(0, queue_.size());
     now_ = std::max(now_, e.time);
     on_event(e);
   }
@@ -164,9 +152,7 @@ MachineStats Machine::run() {
     stats_.scheme_rebuilds = s->rebuild_count();
     stats_.final_scheme = s->scheme()->to_rows();
     // End-of-run model capture, whatever the periodic cadence last did.
-    if (cfg_.recorder != nullptr) {
-      cfg_.recorder->record_final(s->make_model_snapshot(now_));
-    }
+    if (observer_) observer_->run_end([&] { return s->make_model_snapshot(now_); });
   }
   return stats_;
 }
@@ -254,16 +240,6 @@ void Machine::on_event(const Event& e) {
       if (e.gen != t.gen) break;
       dispatch(t);
       break;
-  }
-}
-
-void Machine::record_abort_obs(const ThreadCtx& t, htm::AbortStatus status) {
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->add(m_aborts_[static_cast<std::size_t>(status.cause())], t.id);
-  }
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxAbort, now_,
-                     static_cast<std::uint64_t>(status.cause()));
   }
 }
 
@@ -365,18 +341,14 @@ void Machine::continue_waits(ThreadCtx& t) {
 
 void Machine::start_hw(ThreadCtx& t) {
   ++stats_.hw_attempts;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_hw_attempts_, t.id);
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxBegin, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
+  emit<obs::Event::kTxBegin>(t.id, static_cast<std::uint64_t>(t.inst.type));
   // Alg. 1 lines 11-12: a transaction beginning while the fallback lock is
   // held aborts explicitly (the subscription check).
   if (sgl_.is_locked()) {
     t.pending_cost += cfg_.costs.xbegin;
     const auto status = htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked);
     stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-    record_abort_obs(t, status);
+    emit<obs::Event::kAbort>(t.id, static_cast<std::uint64_t>(status.cause()));
     t.policy->on_abort(status, now_);
     ++t.gen;
     t.st = ThreadCtx::St::kIdle;
@@ -481,7 +453,7 @@ void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
   t.in_hw = false;
   ++t.gen;  // cancels the pending commit/capacity/other events
   stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-  record_abort_obs(t, status);
+  emit<obs::Event::kAbort>(t.id, static_cast<std::uint64_t>(status.cause()));
   std::uint64_t numa_extra = 0;
   if (status.cause() == htm::AbortCause::kConflict &&
       t.pending_culprit != core::kNoTx) {
@@ -510,12 +482,7 @@ void Machine::sgl_granted(ThreadCtx& t) {
   assert(sgl_.owner() == t.id);
   t.st = ThreadCtx::St::kRunningSgl;
   ++t.gen;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_sgl_fallbacks_, t.id);
-  if (cfg_.recorder != nullptr) cfg_.recorder->note_sgl_fallback();
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kSglFallback, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
+  emit<obs::Event::kSglFallback>(t.id, static_cast<std::uint64_t>(t.inst.type));
   // Taking the fallback lock invalidates the subscription in every running
   // hardware transaction (Alg. 1's correctness handshake).
   for (auto& other : threads_) {
@@ -547,11 +514,7 @@ void Machine::finish_tx(ThreadCtx& t, bool hardware) {
   stats_.commits_by_mode[static_cast<std::size_t>(mode)]++;
   ++stats_.commits;
   stats_.commits_by_type[static_cast<std::size_t>(t.inst.type)]++;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_commits_, t.id);
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxCommit, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
+  emit<obs::Event::kCommit>(t.id, static_cast<std::uint64_t>(t.inst.type));
 
   const rt::LockList to_release = t.policy->on_commit(hardware, now_);
   for (const rt::LockId& id : to_release) release_one(t, id);

@@ -34,9 +34,7 @@
 #include <vector>
 
 #include "core/topology.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/observer.hpp"
 #include "runtime/policies.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sim_lock.hpp"
@@ -109,19 +107,20 @@ struct MachineConfig {
   CostModel costs{};
 
   // --- observability (src/obs/, DESIGN.md §8) ----------------------------
-  // Optional sinks; the machine also routes them into the Seer scheduler
-  // (unless policy.seer carries its own) so one registry collects the whole
-  // stack. The embedder freezes the registry after constructing the machine
-  // and before run(). All machine-side recording is single-threaded and
-  // timestamps are simulated cycles, so metrics and traces are deterministic
-  // per (seed, config) — the property the --metrics jobs-invariance test
-  // pins down.
+  // Optional sinks. The machine builds one obs::Observer over them and hands
+  // it to the Seer scheduler, so one registry collects the whole stack. The
+  // embedder freezes the registry after constructing the machine and before
+  // run(). All machine-side recording is single-threaded and timestamps are
+  // simulated cycles, so metrics and traces are deterministic per (seed,
+  // config) — the property the --metrics jobs-invariance test pins down.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
-  // Model flight recorder: routed into the Seer scheduler (periodic/anomaly
-  // snapshots at rebuilds), fed SGL-fallback notes by the machine, and handed
-  // a final end-of-run capture. Null disables.
+  // Model flight recorder: fed SGL grants, periodic/anomaly snapshots at
+  // Seer rebuilds and a final end-of-run capture. Null disables.
   obs::FlightRecorder* recorder = nullptr;
+  // Check-harness capture of the Seer scheduler's event stream and rebuild
+  // decisions (src/check/differential.hpp). Null disables.
+  obs::SchedTraceRecorder* events = nullptr;
 };
 
 struct MachineStats {
@@ -206,7 +205,11 @@ class Machine {
   void finish_tx(ThreadCtx& t, bool hardware);
   void release_one(ThreadCtx& t, rt::LockId id);
   void run_maintenance(ThreadCtx& t);
-  void record_abort_obs(const ThreadCtx& t, htm::AbortStatus status);
+  // The one instrumentation point: one null test per event.
+  template <obs::Event E>
+  void emit(core::ThreadId thread, std::uint64_t arg) noexcept {
+    if (observer_) observer_->emit<obs::Layer::kSim, E>(thread, arg, now_);
+  }
 
   [[nodiscard]] SimLock& lock_of(rt::LockId id) noexcept;
   [[nodiscard]] std::uint32_t effective_capacity(const ThreadCtx& t) const noexcept;
@@ -228,18 +231,15 @@ class Machine {
   void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
             rt::LockId lock = {});
 
-  // Routes cfg-level obs sinks into the embedded Seer scheduler before
-  // PolicyShared is constructed from the patched config.
-  [[nodiscard]] static MachineConfig with_obs(MachineConfig cfg) {
+  // Resolves the machine shape into the embedded Seer scheduler's config
+  // before PolicyShared is constructed from the patched config.
+  [[nodiscard]] static MachineConfig with_shape(MachineConfig cfg) {
     // An explicit topology is authoritative for the core count and is
     // forwarded to the embedded Seer scheduler so both agree on placement.
     if (cfg.topology) {
       cfg.physical_cores = cfg.topology->physical_cores();
       if (!cfg.policy.seer.topology) cfg.policy.seer.topology = cfg.topology;
     }
-    if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
-    if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
-    if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;
     // core_locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
     // with my_core_ = thread % seer.physical_cores; the two must agree or the
     // policy hands out lock ids past the end of the array.
@@ -252,6 +252,9 @@ class Machine {
   // pairs) when none was given — all placement queries go through this.
   core::Topology topo_;
   std::unique_ptr<Workload> workload_;
+  // Null unless a sink is attached; built before shared_ (the scheduler's
+  // metrics register first, the order every --metrics golden records).
+  std::unique_ptr<obs::Observer> observer_;
   rt::PolicyShared shared_;
   EventQueue queue_;
   Time now_ = 0;
@@ -265,15 +268,6 @@ class Machine {
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
   std::size_t done_count_ = 0;
   MachineStats stats_;
-
-  // Observability metric ids (registered in the constructor when
-  // cfg_.metrics is set; kNoMetric otherwise).
-  obs::MetricId m_commits_ = obs::kNoMetric;
-  obs::MetricId m_hw_attempts_ = obs::kNoMetric;
-  obs::MetricId m_sgl_fallbacks_ = obs::kNoMetric;
-  obs::MetricId h_queue_depth_ = obs::kNoMetric;
-  std::array<obs::MetricId, 4> m_aborts_{obs::kNoMetric, obs::kNoMetric,
-                                         obs::kNoMetric, obs::kNoMetric};
 };
 
 // Convenience: build, run, return.

@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -16,6 +14,7 @@
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/periodic.hpp"
+#include "util/format.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/rng.hpp"
@@ -45,21 +44,12 @@ bool stop_requested(const ServeOptions& opts) {
   return opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed);
 }
 
-// --- byte-stable JSONL formatting (the snapshot.cpp conventions) -----------
+// --- byte-stable JSONL formatting -------------------------------------------
 // Deterministic mode promises byte-identical output for a (config, seed)
-// pair, so every number goes through one fixed snprintf recipe.
+// pair, so every number goes through one fixed recipe (util/format.hpp).
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
+using util::append_dbl;
+using util::append_u64;
 
 void append_str(std::string& out, const std::string& s) {
   out += '"';
@@ -283,11 +273,6 @@ StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
     scfg.n_threads = workers;
     scfg.n_types = gen->n_types();
     scfg.seed = step_seed(opts.seed, step);
-    // Deterministic bytes cannot depend on observability wiring.
-    scfg.metrics = nullptr;
-    scfg.obs_trace = nullptr;
-    scfg.recorder = nullptr;
-    scfg.measure_rebuild_ns = false;
     if (desc.topology) scfg.topology = *desc.topology;
     csched = std::make_unique<core::SeerScheduler>(scfg);
     in_service.assign(workers, {});
@@ -528,6 +513,7 @@ StepOutput run_step_real(const Desc& desc, const OpenLoopConfig& ol,
   // flag.
   ServeTelemetry* const tel = opts.telemetry;
   eopts.metrics = opts.emit_metrics || tel != nullptr ? &metrics : nullptr;
+  eopts.recorder = opts.recorder;
   rt::ThreadedExecutor exec(tm, opts.policy, eopts);
   metrics.freeze();
 

@@ -68,6 +68,9 @@ struct ServeOptions {
   // it never changes the JSONL bytes, which is what keeps a --listen run
   // byte-identical to a plain one.
   ServeTelemetry* telemetry = nullptr;
+  // Real mode: model flight recorder for the Seer scheduler (the live
+  // /snapshot feed), or nullptr for none. Deterministic mode ignores it.
+  obs::FlightRecorder* recorder = nullptr;
   // Cooperative stop (SIGINT/SIGTERM in seer_serve), or nullptr for none.
   // When it flips: the running step stops producing, drains its queue, and
   // finalizes normally; remaining steps are skipped; the summary line gains

@@ -1,29 +1,15 @@
 #include "workload/serve_telemetry.hpp"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "obs/prom.hpp"
+#include "util/format.hpp"
 
 namespace seer::workload {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
+using util::append_dbl;
+using util::append_u64;
 
 ServeTelemetry::ServeTelemetry(std::size_t lanes)
     : registry_(lanes == 0 ? 1 : lanes) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/format.hpp"
 #include "workload/json_util.hpp"
 
 namespace seer::workload {
@@ -11,11 +12,7 @@ using jsonu::Value;
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
+using util::append_u64;
 
 void append_rng(std::string& out, const RngState& s) {
   out += "\"rng\": [";

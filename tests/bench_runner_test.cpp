@@ -4,6 +4,7 @@
 // (cell, seed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -177,6 +178,38 @@ TEST(BenchRunner, MetricsOutputIsByteIdenticalForAnyJobsCount) {
   EXPECT_NE(serial.find("\"sim.commits\""), std::string::npos);
   EXPECT_NE(serial.find("\"seer.announces\""), std::string::npos);
   EXPECT_NE(serial.find("\"sim.queue_depth\""), std::string::npos);
+}
+
+TEST(BenchRunner, TraceOutputIsByteIdenticalAcrossRunsAndJobs) {
+  // The --trace contract (DESIGN.md §8): cell 0's first seed records on the
+  // simulator's cycle clock into a sink drained after the sweep, so the
+  // Chrome JSON depends only on (cell, seed) — not on the run or on worker
+  // scheduling. A Seer cell goes first so the trace carries the
+  // scheduler's rebuild events as well as the transaction lifecycle.
+  std::vector<Cell> cells = fig3_slice();
+  std::rotate(cells.begin(), cells.begin() + 3, cells.end());
+  ASSERT_EQ(cells[0].policy.kind, rt::PolicyKind::kSeer);
+
+  auto trace_file = [&](int jobs, const std::string& path) {
+    Options opts = tiny_options();
+    opts.jobs = jobs;
+    opts.trace_path = path;
+    (void)run_cells(cells, opts);
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+
+  const std::string first = trace_file(1, ::testing::TempDir() + "bench_trace_a.json");
+  const std::string again = trace_file(1, ::testing::TempDir() + "bench_trace_b.json");
+  const std::string pooled = trace_file(4, ::testing::TempDir() + "bench_trace_j4.json");
+  EXPECT_EQ(first, again) << "--trace must repeat byte for byte";
+  EXPECT_EQ(first, pooled) << "--trace must be --jobs invariant, byte for byte";
+  EXPECT_NE(first.find("\"name\": \"commit\""), std::string::npos);
+  EXPECT_NE(first.find("\"name\": \"scheme_rebuild\""), std::string::npos);
 }
 
 TEST(BenchRunner, MetricsSkippedWhenPathEmpty) {

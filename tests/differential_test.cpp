@@ -40,8 +40,8 @@ TEST(SyntheticTrace, EveryTransactionResolves) {
   std::size_t announces = 0;
   std::size_t clears = 0;
   for (const auto& e : trace) {
-    if (e.kind == core::SchedEvent::Kind::kAnnounce) ++announces;
-    if (e.kind == core::SchedEvent::Kind::kClear) ++clears;
+    if (e.kind == obs::Event::kAnnounce) ++announces;
+    if (e.kind == obs::Event::kClear) ++clears;
   }
   EXPECT_EQ(announces, 300u);
   EXPECT_EQ(clears, 300u) << "no transaction left announced";
@@ -151,16 +151,15 @@ TEST(CrossBackend, LiveCaptureReplaysToIdenticalDecisions) {
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
   policy.seer.update_period = 32;
+  SchedTraceRecorder capture;
   rt::ThreadedExecutor::Options opts;
   opts.n_threads = 2;
   opts.n_types = 2;
   opts.physical_cores = 2;
+  opts.events = &capture;
   rt::ThreadedExecutor exec(tm, policy, opts);
   core::SeerScheduler* sched = exec.policy_shared().seer();
   ASSERT_NE(sched, nullptr);
-
-  SchedTraceRecorder capture;
-  sched->set_trace_sink(&capture);
 
   // Round-robin both handles from this one thread: a deterministic drive
   // with real conflicts (both types hammer the same word).
@@ -172,7 +171,6 @@ TEST(CrossBackend, LiveCaptureReplaysToIdenticalDecisions) {
     auto& h = (i % 2 == 0) ? h0 : h1;
     (void)h->run(type, [&](auto& tx) { tx.write(w, tx.read(w) + 1); });
   }
-  sched->set_trace_sink(nullptr);
   EXPECT_EQ(w.load(), 600u);
 
   const auto events = capture.events();

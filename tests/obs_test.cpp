@@ -6,15 +6,20 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "check/fault_plan.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/threaded_executor.hpp"
+#include "sim/machine.hpp"
+#include "stamp/workloads.hpp"
 
 namespace seer::obs {
 namespace {
@@ -136,7 +141,7 @@ TEST(TraceSink, RingWraparoundKeepsNewestAndCountsDrops) {
   TraceSink sink(1, 8);
   ASSERT_EQ(sink.capacity(), 8u);
   for (std::uint64_t i = 0; i < 20; ++i) {
-    sink.emit(0, TraceKind::kTxCommit, /*ts=*/i, /*arg=*/i);
+    sink.emit(0, Event::kCommit, /*ts=*/i, /*arg=*/i);
   }
   EXPECT_EQ(sink.emitted(), 20u);
   EXPECT_EQ(sink.dropped(), 12u);
@@ -155,10 +160,10 @@ TEST(TraceSink, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(TraceSink, DrainMergesLanesByTimestamp) {
   TraceSink sink(3, 16);
-  sink.emit(2, TraceKind::kTxBegin, 30, 0);
-  sink.emit(0, TraceKind::kTxBegin, 10, 0);
-  sink.emit(1, TraceKind::kTxBegin, 20, 0);
-  sink.emit(0, TraceKind::kTxCommit, 25, 0);
+  sink.emit(2, Event::kTxBegin, 30, 0);
+  sink.emit(0, Event::kTxBegin, 10, 0);
+  sink.emit(1, Event::kTxBegin, 20, 0);
+  sink.emit(0, Event::kCommit, 25, 0);
   const auto events = sink.drain_sorted();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].ts, 10u);
@@ -170,9 +175,9 @@ TEST(TraceSink, DrainMergesLanesByTimestamp) {
 
 TEST(TraceSink, SummaryTabulatesPerLaneKindCounts) {
   TraceSink sink(2, 8);
-  sink.emit(0, TraceKind::kTxBegin, 1, 0);
-  sink.emit(0, TraceKind::kTxCommit, 2, 0);
-  sink.emit(1, TraceKind::kTxAbort, 3, 0);
+  sink.emit(0, Event::kTxBegin, 1, 0);
+  sink.emit(0, Event::kCommit, 2, 0);
+  sink.emit(1, Event::kAbort, 3, 0);
   const std::string s = sink.summary();
   EXPECT_NE(s.find("commit"), std::string::npos);
   EXPECT_NE(s.find("abort"), std::string::npos);
@@ -230,9 +235,9 @@ std::string write_and_read(const TraceSink& sink) {
 TEST(TraceSink, DroppedPerLaneResolvesWhichRingWrapped) {
   TraceSink sink(2, 4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    sink.emit(0, TraceKind::kTxCommit, i, 0);
+    sink.emit(0, Event::kCommit, i, 0);
   }
-  sink.emit(1, TraceKind::kTxCommit, 99, 0);
+  sink.emit(1, Event::kCommit, 99, 0);
   const auto lanes = sink.dropped_per_lane();
   ASSERT_EQ(lanes.size(), 2u);
   EXPECT_EQ(lanes[0], 6u) << "10 emitted into a 4-slot ring";
@@ -242,12 +247,12 @@ TEST(TraceSink, DroppedPerLaneResolvesWhichRingWrapped) {
 
 TEST(TraceSink, SummaryWarnsWhenARingOverflowed) {
   TraceSink quiet(1, 8);
-  quiet.emit(0, TraceKind::kTxCommit, 1, 0);
+  quiet.emit(0, Event::kCommit, 1, 0);
   EXPECT_EQ(quiet.summary().find("WARNING"), std::string::npos);
 
   TraceSink noisy(1, 4);
   for (std::uint64_t i = 0; i < 9; ++i) {
-    noisy.emit(0, TraceKind::kTxCommit, i, 0);
+    noisy.emit(0, Event::kCommit, i, 0);
   }
   const std::string s = noisy.summary();
   EXPECT_NE(s.find("WARNING"), std::string::npos) << s;
@@ -257,9 +262,9 @@ TEST(TraceSink, SummaryWarnsWhenARingOverflowed) {
 TEST(TraceSink, ChromeJsonCarriesDropAccountingInSeerMeta) {
   TraceSink sink(2, 4);
   for (std::uint64_t i = 0; i < 7; ++i) {
-    sink.emit(0, TraceKind::kTxCommit, i, 0);
+    sink.emit(0, Event::kCommit, i, 0);
   }
-  sink.emit(1, TraceKind::kTxCommit, 50, 0);
+  sink.emit(1, Event::kCommit, 50, 0);
   const std::string json = write_and_read(sink);
   validate_chrome_json(json);
   EXPECT_NE(json.find("\"seerMeta\": {\"emitted\": 8, \"dropped\": 3, "
@@ -271,13 +276,13 @@ TEST(TraceSink, ChromeJsonCarriesDropAccountingInSeerMeta) {
 TEST(TraceSink, ChromeJsonPairsSpansAndIsWellFormed) {
   TraceSink sink(2, 32);
   // Lane 0: begin -> abort -> begin -> commit (one retry).
-  sink.emit(0, TraceKind::kTxBegin, 10, 1);
-  sink.emit(0, TraceKind::kTxAbort, 20, 0);
-  sink.emit(0, TraceKind::kTxBegin, 30, 1);
-  sink.emit(0, TraceKind::kTxCommit, 40, 1);
+  sink.emit(0, Event::kTxBegin, 10, 1);
+  sink.emit(0, Event::kAbort, 20, 0);
+  sink.emit(0, Event::kTxBegin, 30, 1);
+  sink.emit(0, Event::kCommit, 40, 1);
   // Lane 1: an instant plus an unclosed begin (must be closed at last ts).
-  sink.emit(1, TraceKind::kSchemeRebuild, 15, 6);
-  sink.emit(1, TraceKind::kTxBegin, 35, 2);
+  sink.emit(1, Event::kRebuild, 15, 6);
+  sink.emit(1, Event::kTxBegin, 35, 2);
   const std::string json = write_and_read(sink);
   validate_chrome_json(json);
   EXPECT_NE(json.find("\"scheme_rebuild\""), std::string::npos);
@@ -285,7 +290,7 @@ TEST(TraceSink, ChromeJsonPairsSpansAndIsWellFormed) {
 
 TEST(TraceSink, ChromeJsonDemotesUnmatchedEndsToInstants) {
   TraceSink sink(1, 8);
-  sink.emit(0, TraceKind::kTxCommit, 5, 0);  // commit with no begin (SGL path)
+  sink.emit(0, Event::kCommit, 5, 0);  // commit with no begin (SGL path)
   const std::string json = write_and_read(sink);
   validate_chrome_json(json);
   EXPECT_EQ(json.find("\"ph\": \"E\""), std::string::npos);
@@ -319,6 +324,10 @@ TEST(ObsIntegration, ThreadedExecutorRecordsCommitsAndTraces) {
   for (core::ThreadId id = 0; id < kThreads; ++id) {
     threads.emplace_back([&, id] {
       auto h = exec.make_handle(id);
+      // Injected conflicts exhaust some retry budgets, so the SGL path and
+      // its grant event are exercised too.
+      check::FaultPlan plan(check::FaultPlanConfig{.p_conflict = 0.2, .seed = id + 1u});
+      h->set_fault_injector(&plan);
       for (int i = 0; i < kTxPerThread; ++i) {
         h->run(static_cast<core::TxTypeId>(i % 2), [&](auto& tx) {
           const std::size_t slot = (static_cast<std::size_t>(i) * 7 + id) % words.size();
@@ -332,9 +341,11 @@ TEST(ObsIntegration, ThreadedExecutorRecordsCommitsAndTraces) {
   const MetricsSnapshot snap = reg.snapshot();
   std::uint64_t commits = 0;
   std::uint64_t announces = 0;
+  std::uint64_t sgl_fallbacks = 0;
   for (const auto& c : snap.counters) {
     if (c.name == "rt.commits") commits = c.value;
     if (c.name == "seer.announces") announces = c.value;
+    if (c.name == "rt.sgl_fallbacks") sgl_fallbacks = c.value;
   }
   EXPECT_EQ(commits, kThreads * static_cast<std::uint64_t>(kTxPerThread));
   EXPECT_GT(announces, 0u) << "executor-level sinks reach the Seer scheduler";
@@ -344,6 +355,22 @@ TEST(ObsIntegration, ThreadedExecutorRecordsCommitsAndTraces) {
     }
   }
   EXPECT_GT(trace.emitted(), 0u);
+  EXPECT_EQ(trace.dropped(), 0u);
+  // Real-mode events follow the documented vocabulary (obs/observer.hpp):
+  // tx and commit carry the transaction type, as in the simulator, and the
+  // SGL event fires once per grant — exactly what rt.sgl_fallbacks counts.
+  std::uint64_t sgl_events = 0;
+  std::uint64_t typed = 0;
+  for (const TraceEvent& e : trace.drain_sorted()) {
+    if (e.kind == Event::kTxBegin || e.kind == Event::kCommit) {
+      EXPECT_LT(e.arg, opts.n_types) << to_string(e.kind) << " arg is not a type";
+      ++typed;
+    }
+    if (e.kind == Event::kSglFallback) ++sgl_events;
+  }
+  EXPECT_GT(typed, 0u);
+  EXPECT_GT(sgl_fallbacks, 0u) << "the fault plans never pushed a tx onto the SGL";
+  EXPECT_EQ(sgl_events, sgl_fallbacks);
   validate_chrome_json(write_and_read(trace));
 }
 
@@ -399,6 +426,72 @@ TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
   EXPECT_EQ(found, 4u) << "all four htm.* counters must be registered";
   EXPECT_GE(promotions, kThreads * static_cast<std::uint64_t>(kTxPerThread))
       << "every committed transaction crossed the tier boundary";
+}
+
+// ------------------------------------------------------------ vocabulary ---
+
+std::set<std::string> registered_names(const MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) names.insert(c.name);
+  for (const auto& h : snap.histograms) names.insert(h.name);
+  return names;
+}
+
+// Metric names in the vocabulary table of DESIGN.md §8: every backticked
+// `seer.`/`sim.`/`rt.`/`htm.` token on a table row between the §8 and §9
+// headings.
+std::set<std::string> documented_names() {
+  std::ifstream in(std::string(SEER_SOURCE_DIR) + "/DESIGN.md");
+  EXPECT_TRUE(in.good()) << "DESIGN.md not found under " << SEER_SOURCE_DIR;
+  std::set<std::string> names;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line.rfind("## 8.", 0) == 0;
+    if (!in_section || line.rfind("|", 0) != 0) continue;
+    for (std::size_t open = line.find('`'); open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string token = line.substr(open + 1, close - open - 1);
+      for (const char* layer : {"seer.", "sim.", "rt.", "htm."}) {
+        if (token.rfind(layer, 0) == 0) names.insert(token);
+      }
+      open = line.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+TEST(ObsVocabulary, RegisteredNamesMatchDesignTable) {
+  // Registration happens when the embedding builds its observer: a Seer
+  // simulator brings the seer + sim rows, a Seer ThreadedExecutor the
+  // seer + rt + htm rows.
+  MetricsRegistry sim_reg(2);
+  sim::MachineConfig mcfg;
+  mcfg.n_threads = 2;
+  mcfg.policy.kind = rt::PolicyKind::kSeer;
+  mcfg.metrics = &sim_reg;
+  const sim::Machine machine(mcfg, stamp::make_workload("genome", mcfg.n_threads));
+
+  MetricsRegistry rt_reg(2);
+  htm::SoftHtm tm;
+  rt::ThreadedExecutor::Options opts;
+  opts.n_threads = 2;
+  opts.n_types = 2;
+  opts.physical_cores = 2;
+  opts.metrics = &rt_reg;
+  const rt::ThreadedExecutor exec(tm, mcfg.policy, opts);
+  sim_reg.freeze();
+  rt_reg.freeze();
+
+  std::set<std::string> registered = registered_names(sim_reg.snapshot());
+  const std::set<std::string> rt_names = registered_names(rt_reg.snapshot());
+  registered.insert(rt_names.begin(), rt_names.end());
+  std::set<std::string> table;
+  for (const MetricDef& d : kVocabulary) table.insert(d.name);
+
+  const std::set<std::string> documented = documented_names();
+  EXPECT_EQ(registered, documented) << "DESIGN.md §8 and the live registries disagree";
+  EXPECT_EQ(table, documented) << "DESIGN.md §8 and obs::kVocabulary disagree";
 }
 
 }  // namespace

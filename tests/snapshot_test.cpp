@@ -12,6 +12,7 @@
 #include "core/seer_scheduler.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/observer.hpp"
 #include "obs/snapshot.hpp"
 #include "runtime/threaded_executor.hpp"
 #include "sim/machine.hpp"
@@ -42,7 +43,7 @@ RebuildSample sample_at(std::uint64_t rebuild, std::uint64_t executions,
 TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
   FlightRecorderConfig cfg;
   cfg.period = 3;
-  cfg.min_window_events = 1u << 20;  // detectors never arm in this test
+  cfg.storm.min_window_events = 1u << 20;  // detectors never arm in this test
   FlightRecorder rec(cfg);
 
   std::vector<std::uint64_t> captured_at;
@@ -64,7 +65,7 @@ TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
 TEST(FlightRecorder, ZeroPeriodDisablesPeriodicCapture) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 1u << 20;
+  cfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(cfg);
   for (std::uint64_t r = 1; r <= 5; ++r) {
     EXPECT_FALSE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
@@ -78,7 +79,7 @@ TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeqOrder) {
   FlightRecorderConfig cfg;
   cfg.capacity = 4;
   cfg.period = 1;
-  cfg.min_window_events = 1u << 20;
+  cfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(cfg);
   for (std::uint64_t r = 1; r <= 10; ++r) {
     ASSERT_TRUE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
@@ -98,9 +99,9 @@ TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeqOrder) {
 TEST(FlightRecorder, AbortStormOpensOneEpisodeWithHysteresis) {
   FlightRecorderConfig cfg;
   cfg.period = 0;  // isolate the anomaly trigger
-  cfg.min_window_events = 64;
-  cfg.abort_rate_enter = 0.90;
-  cfg.abort_rate_exit = 0.60;
+  cfg.storm.min_window_events = 64;
+  cfg.storm.abort_rate_enter = 0.90;
+  cfg.storm.abort_rate_exit = 0.60;
   FlightRecorder rec(cfg);
 
   std::uint64_t executions = 0;
@@ -137,9 +138,9 @@ TEST(FlightRecorder, AbortStormOpensOneEpisodeWithHysteresis) {
 TEST(FlightRecorder, SglStormTracksFallbackRate) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 64;
-  cfg.sgl_rate_enter = 0.25;
-  cfg.sgl_rate_exit = 0.05;
+  cfg.storm.min_window_events = 64;
+  cfg.storm.sgl_rate_enter = 0.25;
+  cfg.storm.sgl_rate_exit = 0.05;
   FlightRecorder rec(cfg);
 
   EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));  // bootstrap
@@ -159,7 +160,7 @@ TEST(FlightRecorder, SglStormTracksFallbackRate) {
 TEST(FlightRecorder, RecordFinalClosesOpenEpisodesAtFinalClock) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 64;
+  cfg.storm.min_window_events = 64;
   FlightRecorder rec(cfg);
   EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));
   ASSERT_TRUE(rec.on_rebuild(sample_at(2, 1000, 10)));  // abort storm
@@ -231,15 +232,15 @@ TEST(ModelSnapshot, JsonRoundTripsThroughParser) {
 TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
   FlightRecorderConfig rcfg;
   rcfg.period = 1;
-  rcfg.min_window_events = 1u << 20;
+  rcfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(rcfg);
+  Observer observer(Layer::kSeer, /*seer=*/true, {.recorder = &rec});
 
   core::SeerConfig cfg;
   cfg.n_threads = 2;
   cfg.n_types = 2;
   cfg.update_period = 8;
-  cfg.recorder = &rec;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, &observer);
 
   sched.announce(1, 1);
   for (int i = 0; i < 8; ++i) {
@@ -305,11 +306,11 @@ TEST(ExecutorIntegration, SglGrantsFeedTheRecorder) {
   FlightRecorder rec;
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
-  policy.seer.recorder = &rec;
   rt::ThreadedExecutor::Options opts;
   opts.n_threads = kThreads;
   opts.n_types = 2;
   opts.physical_cores = 2;
+  opts.recorder = &rec;
   rt::ThreadedExecutor exec(tm, policy, opts);
 
   std::vector<std::unique_ptr<rt::ThreadedExecutor::ThreadHandle>> handles;

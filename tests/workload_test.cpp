@@ -204,20 +204,17 @@ sim::MachineConfig replay_config() {
 }
 
 TEST(TraceRoundTrip, ReplayReproducesSchedulerDecisionsAndStats) {
-  const sim::MachineConfig cfg = replay_config();
-
   InstanceTrace trace;
   check::SchedTraceRecorder cap_a;
+  sim::MachineConfig cfg = replay_config();
+  cfg.events = &cap_a;
   sim::MachineStats sa;
   {
     sim::Machine a(cfg, std::make_unique<InstanceTraceRecorder>(
                             find("genome").make(cfg.n_threads), cfg.n_threads,
                             &trace));
-    core::SeerScheduler* sched = a.policy_shared().seer();
-    ASSERT_NE(sched, nullptr);
-    sched->set_trace_sink(&cap_a);
+    ASSERT_NE(a.policy_shared().seer(), nullptr);
     sa = a.run();
-    sched->set_trace_sink(nullptr);
   }
   ASSERT_EQ(trace.lanes.size(), cfg.n_threads);
   for (const TraceLane& lane : trace.lanes) {
@@ -226,14 +223,12 @@ TEST(TraceRoundTrip, ReplayReproducesSchedulerDecisionsAndStats) {
   }
 
   check::SchedTraceRecorder cap_b;
+  cfg.events = &cap_b;
   sim::MachineStats sb;
   {
     sim::Machine b(cfg, std::make_unique<TraceReplay>(trace));
-    core::SeerScheduler* sched = b.policy_shared().seer();
-    ASSERT_NE(sched, nullptr);
-    sched->set_trace_sink(&cap_b);
+    ASSERT_NE(b.policy_shared().seer(), nullptr);
     sb = b.run();
-    sched->set_trace_sink(nullptr);
   }
 
   // The differential checker must see the identical decision stream: the

@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
       // Real mode + Seer policy: route every retained model capture to
       // /snapshot. The hook runs on the rebuild maintenance path, which
       // already allocates; rendering there keeps scrapes to a pointer copy.
-      opts.policy.seer.recorder = &recorder;
+      opts.recorder = &recorder;
       recorder.set_publish([tel = telemetry.get()](
                                const seer::obs::ModelSnapshot& snap) {
         std::string json = "{\"version\": ";
