@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace seer::sim {
 
@@ -16,11 +18,15 @@ struct Machine::ThreadCtx {
   std::uint64_t pending_cost = 0;
 
   TxInstance inst;
+  // inst.footprint_lines(), computed once when the instance is sampled.
+  std::size_t footprint = 0;
+  // Live threads whose instance conflicts with this one (instances_conflict),
+  // maintained by link_instance / unlink_instance.
+  ThreadSet conflicts;
   rt::Directive d;
   std::size_t acquire_idx = 0;
   std::size_t wait_idx = 0;
   rt::LockList held;
-  bool in_hw = false;
   Time hw_end = 0;
   bool capacity_scheduled = false;
   // Aggressor type behind a scheduled conflict abort — precise information
@@ -43,6 +49,37 @@ struct Machine::ThreadCtx {
   } st = St::kIdle;
 };
 
+MachineConfig Machine::with_shape(MachineConfig cfg) {
+  // An explicit topology is authoritative for the core count and is
+  // forwarded to the embedded Seer scheduler so both agree on placement.
+  if (cfg.topology) {
+    cfg.physical_cores = cfg.topology->physical_cores();
+    if (!cfg.policy.seer.topology) cfg.policy.seer.topology = cfg.topology;
+  }
+  // core_locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
+  // with my_core_ = thread % seer.physical_cores; the two must agree or the
+  // policy hands out lock ids past the end of the array.
+  cfg.policy.seer.physical_cores = cfg.physical_cores;
+  // Checked in every build: the fixed-width ThreadSets index by thread id,
+  // so a thread count past the shape (or past core::kMaxThreads) would write
+  // out of bounds.
+  const core::Topology topo =
+      cfg.topology ? *cfg.topology : core::Topology::flat(cfg.physical_cores);
+  if (!topo.valid()) {
+    throw std::invalid_argument(
+        "sim::Machine: topology must be non-empty with at most " +
+        std::to_string(core::kMaxThreads) + " hardware threads, got " +
+        std::to_string(topo.hw_threads()));
+  }
+  if (cfg.n_threads == 0 || cfg.n_threads > topo.hw_threads()) {
+    throw std::invalid_argument(
+        "sim::Machine: n_threads " + std::to_string(cfg.n_threads) +
+        " must be in [1, " + std::to_string(topo.hw_threads()) +
+        "], the topology's hardware threads");
+  }
+  return cfg;
+}
+
 Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
     : cfg_(with_shape(std::move(cfg))),
       topo_(cfg_.topology ? *cfg_.topology
@@ -54,8 +91,6 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
       shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), observer_.get()),
       tx_locks_(workload_->n_types()),
       core_locks_(cfg_.physical_cores) {
-  assert(topo_.valid());
-  assert(cfg_.n_threads > 0 && cfg_.n_threads <= topo_.hw_threads());
   stats_.commits_by_type.assign(workload_->n_types(), 0);
   stats_.gt_conflicts.assign(workload_->n_types() * workload_->n_types(), 0);
 
@@ -92,23 +127,9 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   const std::size_t core = topo_.core_of(t.id);
   std::uint32_t sharers = 1;
   for (std::size_t m = core; m < cfg_.n_threads; m += p) {
-    if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) ++sharers;
+    if (m != static_cast<std::size_t>(t.id) && in_hw_.test(m)) ++sharers;
   }
-  std::uint32_t cap = cfg_.cache_lines_per_core / sharers;
-  if (cfg_.l3_lines_per_socket > 0) {
-    // Socket cache domain: every transaction concurrently speculating on
-    // this socket carves a slice out of the shared L3 budget.
-    const std::size_t sock = topo_.socket_of(t.id);
-    std::uint32_t socket_txers = 1;
-    for (const auto& other : threads_) {
-      if (other->id != t.id && other->in_hw &&
-          topo_.socket_of(other->id) == sock) {
-        ++socket_txers;
-      }
-    }
-    cap = std::min(cap, cfg_.l3_lines_per_socket / socket_txers);
-  }
-  return cap;
+  return cfg_.cache_lines_per_core / sharers;
 }
 
 void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
@@ -201,13 +222,13 @@ void Machine::on_event(const Event& e) {
 
     case EventKind::kHwCommit:
       if (e.gen != t.gen) break;
-      assert(t.in_hw);
+      assert(in_hw_.test(t.id));
       hw_commit(t);
       break;
 
     case EventKind::kConflictAbort:
       if (e.gen != t.gen) break;
-      if (t.in_hw) abort_hw(t, htm::AbortStatus::conflict());
+      if (in_hw_.test(t.id)) abort_hw(t, htm::AbortStatus::conflict());
       break;
 
     case EventKind::kCapacityAbort:
@@ -217,8 +238,8 @@ void Machine::on_event(const Event& e) {
       // sibling that finished early releases its share of the cache before
       // our tracked set is evicted). Core locks rely on this: once the
       // sibling is parked, pending doom evaporates.
-      if (t.in_hw) {
-        if (t.inst.footprint_lines() > effective_capacity(t)) {
+      if (in_hw_.test(t.id)) {
+        if (t.footprint > effective_capacity(t)) {
           abort_hw(t, htm::AbortStatus::capacity());
         } else {
           t.capacity_scheduled = false;  // re-armed if a sibling reappears
@@ -228,7 +249,7 @@ void Machine::on_event(const Event& e) {
 
     case EventKind::kOtherAbort:
       if (e.gen != t.gen) break;
-      if (t.in_hw) abort_hw(t, htm::AbortStatus::other());
+      if (in_hw_.test(t.id)) abort_hw(t, htm::AbortStatus::other());
       break;
 
     case EventKind::kSglBodyDone:
@@ -254,6 +275,8 @@ void Machine::start_tx(ThreadCtx& t) {
   const double progress = static_cast<double>(t.txs_done) /
                           static_cast<double>(cfg_.txs_per_thread);
   workload_->next(t.id, progress, t.rng, t.inst);
+  t.footprint = t.inst.footprint_lines();
+  link_instance(t);
   t.policy->begin_tx(t.inst.type, now_);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
   assert(t.held.empty());
@@ -358,7 +381,7 @@ void Machine::start_hw(ThreadCtx& t) {
     return;
   }
 
-  t.in_hw = true;
+  in_hw_.set(t.id);
   t.st = ThreadCtx::St::kRunningHw;
   ++t.gen;
   const Time commit_at =
@@ -373,51 +396,43 @@ void Machine::start_hw(ThreadCtx& t) {
   // point within their coexistence window. The victim learns only
   // "conflict", never the culprit, and its retry (same footprint!)
   // typically strikes back: the mutual-kill thrash that motivates
-  // transaction scheduling in the first place.
-  for (auto& other : threads_) {
-    if (other->id == t.id || !other->in_hw) continue;
-    if (instances_conflict(t.inst, other->inst)) {
-      const Time horizon = std::min(other->hw_end, commit_at);
-      const Time window = horizon > now_ ? horizon - now_ : 1;
-      // The conflict only materializes if the colliding accesses actually
-      // interleave inside the coexistence window: accesses are spread over
-      // each transaction's duration, so a brief overlap usually slips
-      // through. This is what makes HTM conflicts *transient* — retrying
-      // often succeeds — and blanket serialization overkill.
-      const Time longest = std::max(t.inst.duration, other->inst.duration);
-      const double p_hit =
-          std::min(1.0, static_cast<double>(window) / static_cast<double>(longest));
-      if (!t.rng.bernoulli(p_hit)) continue;
-      const Time when = now_ + t.rng.below(window);
-      if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
-        t.pending_culprit = other->inst.type;
-        t.pending_culprit_thread = static_cast<std::int32_t>(other->id);
-        push(when, t.id, EventKind::kConflictAbort, t.gen);
-      } else {
-        other->pending_culprit = t.inst.type;
-        other->pending_culprit_thread = static_cast<std::int32_t>(t.id);
-        push(when, other->id, EventKind::kConflictAbort, other->gen);
-      }
+  // transaction scheduling in the first place. The overlapping pairs were
+  // found once, when the instances were sampled (link_instance). They are
+  // visited in ascending thread id, which fixes the order of the RNG draws
+  // below — part of the simulated output.
+  (t.conflicts & in_hw_).for_each([&](core::ThreadId id) {
+    ThreadCtx& other = *threads_[id];
+    const Time horizon = std::min(other.hw_end, commit_at);
+    const Time window = horizon > now_ ? horizon - now_ : 1;
+    // The conflict only materializes if the colliding accesses actually
+    // interleave inside the coexistence window: accesses are spread over
+    // each transaction's duration, so a brief overlap usually slips
+    // through. This is what makes HTM conflicts *transient* — retrying
+    // often succeeds — and blanket serialization overkill.
+    const Time longest = std::max(t.inst.duration, other.inst.duration);
+    const double p_hit =
+        std::min(1.0, static_cast<double>(window) / static_cast<double>(longest));
+    if (!t.rng.bernoulli(p_hit)) return;
+    const Time when = now_ + t.rng.below(window);
+    if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
+      t.pending_culprit = other.inst.type;
+      t.pending_culprit_thread = static_cast<std::int32_t>(other.id);
+      push(when, t.id, EventKind::kConflictAbort, t.gen);
+    } else {
+      other.pending_culprit = t.inst.type;
+      other.pending_culprit_thread = static_cast<std::int32_t>(t.id);
+      push(when, other.id, EventKind::kConflictAbort, other.gen);
     }
-  }
+  });
 
   // Capacity: evaluate for this thread and re-evaluate every transactional
-  // core-mate (whose effective budget we just shrank). With an L3 domain
-  // modeled, socket-mates' budgets shrank too.
+  // core-mate (whose effective budget we just shrank).
   t.capacity_scheduled = false;
   schedule_capacity_check(t);
   const std::size_t p = topo_.physical_cores();
   for (std::size_t m = topo_.core_of(t.id); m < cfg_.n_threads; m += p) {
-    if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) {
+    if (m != static_cast<std::size_t>(t.id) && in_hw_.test(m)) {
       schedule_capacity_check(*threads_[m]);
-    }
-  }
-  if (cfg_.l3_lines_per_socket > 0) {
-    for (auto& other : threads_) {
-      if (other->id != t.id && other->in_hw &&
-          topo_.same_socket(other->id, t.id)) {
-        schedule_capacity_check(*other);
-      }
     }
   }
 
@@ -428,8 +443,8 @@ void Machine::start_hw(ThreadCtx& t) {
 }
 
 void Machine::schedule_capacity_check(ThreadCtx& t) {
-  if (!t.in_hw || t.capacity_scheduled) return;
-  if (t.inst.footprint_lines() <= effective_capacity(t)) return;
+  if (!in_hw_.test(t.id) || t.capacity_scheduled) return;
+  if (t.footprint <= effective_capacity(t)) return;
   // The transaction will overflow its buffers partway through its
   // remaining execution. Once scheduled the abort is not cancelled even if
   // the sibling leaves: evicting a tracked line is irrecoverable in real
@@ -442,15 +457,15 @@ void Machine::schedule_capacity_check(ThreadCtx& t) {
 }
 
 void Machine::hw_commit(ThreadCtx& t) {
-  t.in_hw = false;
+  in_hw_.reset(t.id);
   ++t.gen;
   t.pending_cost += cfg_.costs.xcommit + scan_cost();
   finish_tx(t, /*hardware=*/true);
 }
 
 void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
-  assert(t.in_hw);
-  t.in_hw = false;
+  assert(in_hw_.test(t.id));
+  in_hw_.reset(t.id);
   ++t.gen;  // cancels the pending commit/capacity/other events
   stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
   emit<obs::Event::kAbort>(t.id, static_cast<std::uint64_t>(status.cause()));
@@ -485,11 +500,10 @@ void Machine::sgl_granted(ThreadCtx& t) {
   emit<obs::Event::kSglFallback>(t.id, static_cast<std::uint64_t>(t.inst.type));
   // Taking the fallback lock invalidates the subscription in every running
   // hardware transaction (Alg. 1's correctness handshake).
-  for (auto& other : threads_) {
-    if (other->in_hw) {
-      abort_hw(*other, htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked));
-    }
-  }
+  const ThreadSet running = in_hw_;
+  running.for_each([&](core::ThreadId id) {
+    abort_hw(*threads_[id], htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked));
+  });
   const auto body = static_cast<Time>(cfg_.sgl_duration_factor *
                                       static_cast<double>(t.inst.duration));
   push(now_ + t.pending_cost + body, t.id, EventKind::kSglBodyDone, t.gen);
@@ -510,6 +524,7 @@ void Machine::sgl_done(ThreadCtx& t) {
 }
 
 void Machine::finish_tx(ThreadCtx& t, bool hardware) {
+  unlink_instance(t);
   const rt::CommitMode mode = rt::classify_commit(t.held, !hardware);
   stats_.commits_by_mode[static_cast<std::size_t>(mode)]++;
   ++stats_.commits;
@@ -533,6 +548,28 @@ void Machine::finish_tx(ThreadCtx& t, bool hardware) {
   stats_.serial_work += think;
   push(now_ + t.pending_cost + think, t.id, EventKind::kStartTx, kAnyGen);
   t.pending_cost = 0;
+}
+
+void Machine::link_instance(ThreadCtx& t) {
+  // A footprint is fixed for the instance's lifetime (every retry reuses
+  // it), so whether two live instances conflict is decided once, here,
+  // instead of on every hardware attempt. Only live threads can be in
+  // hardware, so the rows cover every pair start_hw can meet.
+  assert(!live_.test(t.id));
+  live_.for_each([&](core::ThreadId id) {
+    ThreadCtx& other = *threads_[id];
+    if (instances_conflict(t.inst, other.inst)) {
+      t.conflicts.set(id);
+      other.conflicts.set(t.id);
+    }
+  });
+  live_.set(t.id);
+}
+
+void Machine::unlink_instance(ThreadCtx& t) {
+  t.conflicts.for_each([&](core::ThreadId id) { threads_[id]->conflicts.reset(t.id); });
+  t.conflicts = {};
+  live_.reset(t.id);
 }
 
 void Machine::release_one(ThreadCtx& t, rt::LockId id) {

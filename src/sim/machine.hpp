@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -77,10 +78,6 @@ struct MachineConfig {
   // inherits the same topology so placement decisions agree.
   std::optional<core::Topology> topology;
   std::uint32_t cache_lines_per_core = 448;
-  // Per-socket L3 transactional-capacity domain, in cache lines. 0 (default)
-  // leaves the socket cache unmodeled; when set, concurrent transactions on
-  // one socket split its L3 budget the way SMT siblings split the L1d.
-  std::uint32_t l3_lines_per_socket = 0;
   // Fraction of the (remaining) duration after which an over-capacity
   // transaction overflows and aborts.
   double capacity_abort_point = 0.6;
@@ -176,6 +173,8 @@ struct MachineStats {
 
 class Machine {
  public:
+  // Throws std::invalid_argument unless 1 <= n_threads <= the topology's
+  // hardware threads (at most core::kMaxThreads).
   Machine(MachineConfig cfg, std::unique_ptr<Workload> workload);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -191,6 +190,39 @@ class Machine {
  private:
   struct ThreadCtx;
 
+  // A set of thread ids, one bit each, sized for the widest machine
+  // (core::kMaxThreads) so that no Machine allocates for it.
+  struct ThreadSet {
+    static constexpr std::size_t kWords = (core::kMaxThreads + 63) / 64;
+    std::array<std::uint64_t, kWords> words{};
+
+    void set(std::size_t t) noexcept { words[t / 64] |= bit(t); }
+    void reset(std::size_t t) noexcept { words[t / 64] &= ~bit(t); }
+    [[nodiscard]] bool test(std::size_t t) const noexcept {
+      return (words[t / 64] & bit(t)) != 0;
+    }
+    [[nodiscard]] ThreadSet operator&(const ThreadSet& o) const noexcept {
+      ThreadSet r;
+      for (std::size_t w = 0; w < kWords; ++w) r.words[w] = words[w] & o.words[w];
+      return r;
+    }
+    // Calls f(id) for every member, in ascending id order.
+    template <class F>
+    void for_each(F&& f) const {
+      for (std::size_t w = 0; w < kWords; ++w) {
+        for (std::uint64_t b = words[w]; b != 0; b &= b - 1) {
+          f(static_cast<core::ThreadId>(w * 64 + static_cast<std::size_t>(
+                                                     std::countr_zero(b))));
+        }
+      }
+    }
+
+   private:
+    static constexpr std::uint64_t bit(std::size_t t) noexcept {
+      return std::uint64_t{1} << (t % 64);
+    }
+  };
+
   void on_event(const Event& e);
   void start_tx(ThreadCtx& t);
   void dispatch(ThreadCtx& t);
@@ -203,6 +235,8 @@ class Machine {
   void sgl_granted(ThreadCtx& t);
   void sgl_done(ThreadCtx& t);
   void finish_tx(ThreadCtx& t, bool hardware);
+  void link_instance(ThreadCtx& t);
+  void unlink_instance(ThreadCtx& t);
   void release_one(ThreadCtx& t, rt::LockId id);
   void run_maintenance(ThreadCtx& t);
   // The one instrumentation point: one null test per event.
@@ -232,20 +266,9 @@ class Machine {
             rt::LockId lock = {});
 
   // Resolves the machine shape into the embedded Seer scheduler's config
-  // before PolicyShared is constructed from the patched config.
-  [[nodiscard]] static MachineConfig with_shape(MachineConfig cfg) {
-    // An explicit topology is authoritative for the core count and is
-    // forwarded to the embedded Seer scheduler so both agree on placement.
-    if (cfg.topology) {
-      cfg.physical_cores = cfg.topology->physical_cores();
-      if (!cfg.policy.seer.topology) cfg.policy.seer.topology = cfg.topology;
-    }
-    // core_locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
-    // with my_core_ = thread % seer.physical_cores; the two must agree or the
-    // policy hands out lock ids past the end of the array.
-    cfg.policy.seer.physical_cores = cfg.physical_cores;
-    return cfg;
-  }
+  // before PolicyShared is constructed from the patched config, and rejects
+  // a thread count the shape cannot host.
+  [[nodiscard]] static MachineConfig with_shape(MachineConfig cfg);
 
   MachineConfig cfg_;
   // Resolved shape: cfg_.topology, or the legacy flat view (1 socket, SMT
@@ -266,6 +289,10 @@ class Machine {
   std::vector<SimLock> core_locks_;
 
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
+  // Threads holding a sampled, not yet committed instance (start_tx ..
+  // finish_tx), and the subset currently speculating in hardware.
+  ThreadSet live_;
+  ThreadSet in_hw_;
   std::size_t done_count_ = 0;
   MachineStats stats_;
 };

@@ -74,6 +74,11 @@ class Workload {
                                                  util::Xoshiro256& rng) = 0;
 };
 
+// True when the two sorted, unique sequences share an element. Exact for
+// any sizes; sublinear in the larger side when the other is much smaller.
+[[nodiscard]] bool sorted_intersects(const std::vector<std::uint32_t>& a,
+                                     const std::vector<std::uint32_t>& b) noexcept;
+
 // True when `a.writes` intersects `b.reads ∪ b.writes` — a's speculative
 // writes invalidate b. Inputs must be sorted.
 [[nodiscard]] bool write_conflicts(const TxInstance& a, const TxInstance& b) noexcept;

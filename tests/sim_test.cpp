@@ -3,13 +3,19 @@
 // controlled conflict/capacity structure (including failure injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/sim_lock.hpp"
 #include "sim/workload.hpp"
+#include "stamp/workloads.hpp"
 
 namespace seer::sim {
 namespace {
@@ -159,6 +165,90 @@ TEST(TxInstance, WriteWriteConflicts) {
   const auto a = make_inst({}, {10, 20});
   const auto b = make_inst({}, {20, 30});
   EXPECT_TRUE(instances_conflict(a, b));
+}
+
+// -------------------------------------------------- sorted_intersects -----
+
+bool reference_intersects(const std::vector<std::uint32_t>& a,
+                          const std::vector<std::uint32_t>& b) {
+  std::vector<std::uint32_t> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(common));
+  return !common.empty();
+}
+
+// Up to `n` distinct line ids from [lo, lo + span), sorted.
+std::vector<std::uint32_t> random_lines(util::Xoshiro256& rng, std::size_t n,
+                                        std::uint32_t lo, std::uint32_t span) {
+  std::vector<std::uint32_t> v(n);
+  for (auto& x : v) x = lo + static_cast<std::uint32_t>(rng.below(span));
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+// Random sorted-unique pairs whose size ratio runs from 1 to 64, so both the
+// merge and the galloping branch run, over universes from dense (most pairs
+// intersect) to sparse (few do), with offset ranges that partly overlap.
+// SEER_PROPERTY_SEED=N replays one pair.
+TEST(SortedIntersects, MatchesSetIntersectionReference) {
+  const char* env = std::getenv("SEER_PROPERTY_SEED");
+  const std::uint64_t master = env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
+  const std::uint64_t iters = master != 0 ? 1 : 4000;
+  std::uint64_t hits = 0;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = master != 0 ? master : 0x5E70000u + i;
+    util::Xoshiro256 rng(seed);
+    const std::size_t n_small = rng.below(33);
+    const std::size_t n_large = n_small * (1 + rng.below(64)) + rng.below(4);
+    const auto universe =
+        static_cast<std::uint32_t>((n_large + 1) * (1 + rng.below(16)));
+    const auto shift = static_cast<std::uint32_t>(rng.below(universe));
+    const auto small = random_lines(rng, n_small, shift, universe);
+    const auto large = random_lines(rng, n_large, 0, universe);
+    const bool want = reference_intersects(small, large);
+    hits += want ? 1 : 0;
+    ASSERT_EQ(sorted_intersects(small, large), want)
+        << "small " << small.size() << " large " << large.size()
+        << "; replay with SEER_PROPERTY_SEED=" << seed;
+    ASSERT_EQ(sorted_intersects(large, small), want)
+        << "argument order; replay with SEER_PROPERTY_SEED=" << seed;
+  }
+  if (master == 0) {
+    EXPECT_GT(hits, iters / 10) << "sweep never exercises intersecting pairs";
+    EXPECT_LT(hits, iters - iters / 10) << "sweep never exercises disjoint pairs";
+  }
+}
+
+TEST(SortedIntersects, Edges) {
+  using V = std::vector<std::uint32_t>;
+  V big(100);
+  for (std::uint32_t i = 0; i < 100; ++i) big[i] = 2 * i;  // 0, 2, ..., 198
+  const std::vector<std::pair<V, V>> yes = {
+      {{5}, {5}},
+      {{1, 2, 3, 4, 5}, {5, 6, 7, 8, 9}},  // touching endpoints
+      {{0}, big},                          // gallop: first element
+      {{198}, big},                        // gallop: last element
+      {{1, 3, 100}, big},                  // gallop: hit after misses
+      {{7, 199, 250}, {199}},
+  };
+  const std::vector<std::pair<V, V>> no = {
+      {{}, {}},
+      {{}, {1, 2}},
+      {{4}, {5}},
+      {{1, 2, 3, 4}, {5, 6, 7, 8, 9}},  // disjoint ranges
+      {{1, 3, 5, 197}, big},            // gallop: interleaved misses
+      {{199}, big},                     // gallop: past the end
+      {{3, 5}, {0, 2, 4, 6}},
+  };
+  for (const auto& [a, b] : yes) {
+    EXPECT_TRUE(sorted_intersects(a, b)) << a.size() << " vs " << b.size();
+    EXPECT_TRUE(sorted_intersects(b, a)) << b.size() << " vs " << a.size();
+  }
+  for (const auto& [a, b] : no) {
+    EXPECT_FALSE(sorted_intersects(a, b)) << a.size() << " vs " << b.size();
+    EXPECT_FALSE(sorted_intersects(b, a)) << b.size() << " vs " << a.size();
+  }
 }
 
 // ------------------------------------------------- synthetic workloads -----
@@ -536,6 +626,40 @@ TEST(Machine, ExplicitFlatTopologyMatchesLegacyDefaultExactly) {
   }
 }
 
+// The width precondition holds in every build: the machine's thread sets are
+// fixed-width and indexed by thread id, so a thread count past the shape's
+// hardware threads must be refused up front, naming both numbers.
+TEST(Machine, RejectsThreadCountsTheTopologyCannotHost) {
+  const auto expect_rejected = [](const MachineConfig& cfg, const std::string& got,
+                                  const std::string& limit) {
+    try {
+      Machine m(cfg, std::make_unique<SyntheticWorkload>(no_conflict_params()));
+      FAIL() << "accepted n_threads " << cfg.n_threads;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(got), std::string::npos) << what;
+      EXPECT_NE(what.find(limit), std::string::npos) << what;
+    }
+  };
+  auto cfg = base_config(rt::PolicyKind::kRtm, 9);  // flat(4): 8 hw threads
+  expect_rejected(cfg, "n_threads 9", "[1, 8]");
+  cfg.n_threads = 0;
+  expect_rejected(cfg, "n_threads 0", "[1, 8]");
+  cfg.topology = core::Topology{2, 16, 2};
+  cfg.n_threads = 65;
+  expect_rejected(cfg, "n_threads 65", "[1, 64]");
+  cfg.topology = core::Topology{4, 64, 2};  // 512 > core::kMaxThreads
+  cfg.n_threads = 8;
+  expect_rejected(cfg, "256", "512");
+
+  cfg.topology = core::Topology{2, 16, 2};
+  cfg.n_threads = 64;
+  cfg.txs_per_thread = 5;
+  EXPECT_EQ(run_machine(cfg, std::make_unique<SyntheticWorkload>(no_conflict_params()))
+                .commits,
+            64u * 5u);
+}
+
 // NUMA asymmetry must actually cost something: the same 2x2x2 shape with a
 // cross-socket handoff surcharge cannot finish faster than the symmetric
 // machine, and charging the surcharge moves the makespan.
@@ -551,6 +675,104 @@ TEST(Machine, NumaHandoffSurchargeStretchesTheMakespan) {
   EXPECT_EQ(sym.commits, asym.commits) << "costs must not change the work";
   EXPECT_GT(asym.makespan, sym.makespan)
       << "cross-socket surcharges never applied on an all-conflict run";
+}
+
+
+// ------------------------------------------------------------ width --------
+
+// Full MachineStats of 64- and 128-thread 2-socket runs over two STAMP
+// stand-ins, pinned to the values the all-threads conflict scan produced
+// before the live-instance conflict graph replaced it. The graph must visit
+// conflicting in-HW threads in the same ascending-id order so every RNG draw
+// lands where it did; any reordering moves these numbers.
+struct WideGolden {
+  const char* workload;
+  rt::PolicyKind kind;
+  std::size_t threads;
+  core::Topology topology;
+  std::uint64_t txs_per_thread;
+  Time makespan;
+  std::uint64_t serial_work;
+  std::uint64_t commits;
+  std::uint64_t hw_attempts;
+  std::array<std::uint64_t, 4> aborts_by_cause;
+  std::array<std::uint64_t, static_cast<std::size_t>(rt::CommitMode::kModeCount)>
+      commits_by_mode;
+  std::vector<std::uint64_t> gt_conflicts;
+  std::uint64_t scheme_rebuilds;
+  std::vector<std::vector<core::TxTypeId>> final_scheme;
+};
+
+const std::vector<WideGolden>& wide_goldens() {
+  using rt::PolicyKind;
+  static const std::vector<WideGolden> g = {
+      {"intruder", PolicyKind::kRtm, 64, {2, 16, 2}, 100,
+       9681881, 7195128, 6400, 31963, {21135, 0, 10811, 5},
+       {12, 0, 0, 0, 0, 0, 6388},
+       {10884, 0, 0, 0, 3643, 0, 0, 0, 6608},
+       0, {}},
+      {"intruder", PolicyKind::kSeer, 64, {2, 16, 2}, 100,
+       3952163, 7216145, 6400, 19094, {12245, 0, 1193, 27},
+       {3540, 0, 0, 2089, 0, 0, 771},
+       {4424, 0, 0, 0, 4870, 0, 0, 0, 2951},
+       28, {{0}, {1}, {2}}},
+      {"vacation-low", PolicyKind::kRtm, 64, {2, 16, 2}, 100,
+       15849955, 12197032, 6400, 31818, {6352, 0, 25396, 9},
+       {61, 0, 0, 0, 0, 0, 6339},
+       {4918, 0, 573, 0, 70, 0, 631, 0, 160},
+       0, {}},
+      {"vacation-low", PolicyKind::kSeer, 64, {2, 16, 2}, 100,
+       6915010, 12264224, 6400, 20639, {10759, 0, 3738, 17},
+       {3480, 0, 0, 2645, 0, 0, 275},
+       {10532, 0, 85, 0, 16, 0, 71, 0, 55},
+       31, {{0}, {}, {2}}},
+      {"intruder", PolicyKind::kRtm, 128, {2, 32, 2}, 50,
+       9756001, 7181352, 6400, 31999, {26715, 0, 5277, 3},
+       {4, 0, 0, 0, 0, 0, 6396},
+       {11938, 0, 0, 0, 5628, 0, 0, 0, 9149},
+       0, {}},
+      {"intruder", PolicyKind::kSeer, 128, {2, 32, 2}, 50,
+       3923643, 7165521, 6400, 22460, {15654, 0, 1182, 16},
+       {2690, 0, 0, 2918, 0, 0, 792},
+       {8082, 0, 0, 0, 5265, 0, 0, 0, 2307},
+       25, {{0}, {1}, {2}}},
+      {"vacation-low", PolicyKind::kRtm, 128, {2, 32, 2}, 50,
+       15951441, 12192652, 6400, 31908, {8731, 0, 23141, 8},
+       {28, 0, 0, 0, 0, 0, 6372},
+       {6931, 0, 701, 0, 88, 0, 843, 0, 168},
+       0, {}},
+      {"vacation-low", PolicyKind::kSeer, 128, {2, 32, 2}, 50,
+       7162134, 12169635, 6400, 20792, {11726, 0, 3108, 25},
+       {3328, 0, 0, 2605, 0, 0, 467},
+       {11430, 0, 131, 0, 5, 0, 125, 0, 35},
+       25, {{0}, {1, 2}, {1}}},
+  };
+  return g;
+}
+
+TEST(Machine, WideTwoSocketRunsMatchPinnedStats) {
+  for (const WideGolden& g : wide_goldens()) {
+    MachineConfig cfg;
+    cfg.n_threads = g.threads;
+    cfg.topology = g.topology;
+    cfg.txs_per_thread = g.txs_per_thread;
+    cfg.policy.kind = g.kind;
+    cfg.seed = 11;
+    const MachineStats s =
+        run_machine(cfg, stamp::make_workload(g.workload, g.threads));
+    const std::string cell = std::string(g.workload) + " " +
+                             rt::to_string(g.kind) + " " +
+                             std::to_string(g.threads) + "t";
+    EXPECT_EQ(s.makespan, g.makespan) << cell;
+    EXPECT_EQ(s.serial_work, g.serial_work) << cell;
+    EXPECT_EQ(s.commits, g.commits) << cell;
+    EXPECT_EQ(s.hw_attempts, g.hw_attempts) << cell;
+    EXPECT_EQ(s.aborts_by_cause, g.aborts_by_cause) << cell;
+    EXPECT_EQ(s.commits_by_mode, g.commits_by_mode) << cell;
+    EXPECT_EQ(s.gt_conflicts, g.gt_conflicts) << cell;
+    EXPECT_EQ(s.scheme_rebuilds, g.scheme_rebuilds) << cell;
+    EXPECT_EQ(s.final_scheme, g.final_scheme) << cell;
+  }
 }
 
 }  // namespace

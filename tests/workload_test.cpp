@@ -636,5 +636,83 @@ TEST(Config, ResolveDispatchesOnJsonSuffix) {
                       "no_such_file.json");
 }
 
+
+// ------------------------------------------------ generator contract -----
+
+bool strictly_increasing(const std::vector<std::uint32_t>& lines) {
+  return std::adjacent_find(lines.begin(), lines.end(),
+                            [](std::uint32_t a, std::uint32_t b) { return a >= b; }) ==
+         lines.end();
+}
+
+// sim::sorted_intersects gallops through line sets with binary searches, which
+// is only exact on sorted, unique input — the TxInstance contract. Every
+// registered generator must keep it, on every thread and across progress.
+TEST(GeneratorContract, EveryRegisteredGeneratorEmitsSortedUniqueLines) {
+  const std::string trace_path = temp_path("contract.trace.json");
+  {
+    sim::MachineConfig cfg = replay_config();
+    cfg.txs_per_thread = 50;
+    InstanceTrace trace;
+    sim::Machine m(cfg, std::make_unique<InstanceTraceRecorder>(
+                            find("genome").make(cfg.n_threads), cfg.n_threads,
+                            &trace));
+    (void)m.run();
+    ASSERT_TRUE(write_trace_json(trace, trace_path));
+  }
+  // Params for the generators that need some; the STAMP names take none.
+  const std::vector<std::pair<std::string, std::string>> params = {
+      {"spec", R"({"regions": [{"name": "hot", "lines": 64, "zipf_skew": 0.9},
+                               {"name": "cold", "lines": 4096}],
+                   "types": [{"name": "r", "duration_mean": 300,
+                              "accesses": [{"region": "hot", "reads": 6},
+                                           {"region": "cold", "reads": 20}]},
+                             {"name": "w", "duration_mean": 400,
+                              "accesses": [{"region": "hot", "reads": 3,
+                                            "writes": 5}]}],
+                   "mix": [1, 1]})"},
+      {"phased", R"({"phases": [
+          {"until": 0.5, "spec": {"regions": [{"name": "a", "lines": 32}],
+           "types": [{"name": "u", "duration_mean": 200,
+                      "accesses": [{"region": "a", "reads": 8, "writes": 8}]}]}},
+          {"until": 1.0, "spec": {"regions": [{"name": "a", "lines": 32,
+                                                 "zipf_skew": 0.9}],
+           "types": [{"name": "u", "duration_mean": 200,
+                      "accesses": [{"region": "a", "reads": 20, "writes": 4}]}]}}]})"},
+      {"bst", R"({"keys": 1024, "key_skew": 0.8})"},
+      {"trace-replay", R"({"path": ")" + trace_path + R"("})"},
+  };
+  constexpr std::size_t kThreads = 4;
+  constexpr int kInstances = 200;
+  for (const std::string& name : Registry::global().names()) {
+    const auto it = std::find_if(params.begin(), params.end(),
+                                 [&](const auto& p) { return p.first == name; });
+    const Desc d = it == params.end()
+                       ? find(name)
+                       : from_config_json(parse_or_die(R"({"generator": ")" + name +
+                                                       R"(", "params": )" +
+                                                       it->second + "}"),
+                                          "<contract>");
+    const auto gen = d.make(kThreads);
+    util::Xoshiro256 rng(17);
+    sim::TxInstance inst;
+    std::size_t sampled = 0;
+    for (core::ThreadId t = 0; t < kThreads; ++t) {
+      gen->init(t);
+      for (int i = 0; i < kInstances && !gen->exhausted(t); ++i) {
+        (void)gen->think_time(t, rng);
+        gen->next(t, static_cast<double>(i) / kInstances, rng, inst);
+        ++sampled;
+        ASSERT_TRUE(strictly_increasing(inst.reads))
+            << name << " thread " << t << " instance " << i << ": reads";
+        ASSERT_TRUE(strictly_increasing(inst.writes))
+            << name << " thread " << t << " instance " << i << ": writes";
+      }
+    }
+    EXPECT_GT(sampled, 0u) << name;
+  }
+  std::remove(trace_path.c_str());
+}
+
 }  // namespace
 }  // namespace seer::workload
