@@ -3,11 +3,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "stamp/workloads.hpp"
+#include "workload/registry.hpp"
 
 namespace {
 
@@ -66,8 +68,18 @@ BENCHMARK(BM_MachineRun)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-void BM_WorkloadSampling(benchmark::State& state) {
-  const auto wl = stamp::make_workload("vacation-high", 8);
+// One generator next() per iteration: the simulator's hot call in the
+// paper regime (perfbench's workload.next_ns.*). The stand-ins span the
+// canonicalization paths: yada's 524288-line mesh radix-sorts hundreds of
+// samples, vacation-high and genome fill bitmaps over Zipf draws, ssca2
+// insertion-sorts a handful, and serve-mixed is the real-thread producer's
+// spec (perfbench/serve_mixed.json).
+void BM_WorkloadSampling(benchmark::State& state, const std::string& name) {
+  const workload::Desc desc = name == "serve-mixed"
+                                  ? workload::from_config(SEER_SOURCE_DIR
+                                                          "/perfbench/serve_mixed.json")
+                                  : workload::find(name);
+  const auto wl = desc.make(8);
   util::Xoshiro256 rng(3);
   sim::TxInstance inst;
   for (auto _ : state) {
@@ -76,7 +88,20 @@ void BM_WorkloadSampling(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WorkloadSampling);
+BENCHMARK_CAPTURE(BM_WorkloadSampling, yada, "yada");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, vacation_high, "vacation-high");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, genome, "genome");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, ssca2, "ssca2");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, serve_mixed, "serve-mixed");
+
+// One Desc::make(8): what building a run's generator costs once the Desc
+// holds the compiled sampling tables (sim-fig3 makes 640 per pass).
+void BM_DescMake(benchmark::State& state) {
+  const workload::Desc desc = workload::find("genome");
+  for (auto _ : state) benchmark::DoNotOptimize(desc.make(8));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DescMake);
 
 // An instance with `reads` read and `writes` written lines, all of one
 // parity, spread over the same range whatever the parity: instances of

@@ -193,11 +193,20 @@ std::vector<CellResult> run_cells(const std::vector<Cell>& cells,
   if (!opts.record_path.empty() && !cells.empty()) {
     record = std::make_unique<workload::InstanceTrace>();
   }
-  auto results = util::parallel_for_indexed(
-      opts.effective_jobs(), cells.size(), [&](std::size_t i) {
-        return run_cell(cells[i], opts, i == 0 ? trace.get() : nullptr,
-                        i == 0 ? record.get() : nullptr);
-      });
+  std::vector<CellResult> results;
+  try {
+    results = util::parallel_for_indexed(
+        opts.effective_jobs(), cells.size(), [&](std::size_t i) {
+          return run_cell(cells[i], opts, i == 0 ? trace.get() : nullptr,
+                          i == 0 ? record.get() : nullptr);
+        });
+  } catch (const workload::ConfigError& e) {
+    // A spec whose line space does not fit one of the swept thread counts:
+    // a usage error like a bad --workload (Options::selected), reported once
+    // the pool has drained.
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   if (record != nullptr) {
     if (!workload::write_trace_json(*record, opts.record_path)) {
       std::fprintf(stderr, "cannot open --record path: %s\n",

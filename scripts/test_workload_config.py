@@ -135,6 +135,16 @@ class ValidateWorkloadTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("absent.json", err)
 
+    def test_line_space_past_2_32_is_named(self):
+        # Validation lays the spec out for two threads: two per-thread
+        # slices of 2^31 + 1 lines would wrap 32-bit line ids.
+        doc = spec_config()
+        doc["params"]["regions"][0].update(lines=2**31 + 1, per_thread=True)
+        code, _, err = self.validate(self.write("wide.json", doc))
+        self.assertEqual(code, 2)
+        self.assertIn('region "r"', err)
+        self.assertIn(str(2 * (2**31 + 1)), err)
+
     # --- topology section (sockets x cores_per_socket x smt_per_core) -----
 
     def test_good_topology_section_validates(self):
@@ -266,6 +276,27 @@ class BenchWorkloadFlagTest(unittest.TestCase):
         code, err = self.run_bench(path)
         self.assertEqual(code, 2)
         self.assertIn("regions", err)
+
+    def test_line_space_past_2_32_exits_2(self):
+        # Shared regions past 2^32 lines fail before anything runs...
+        doc = spec_config()
+        doc["params"]["regions"] = [{"name": "a", "lines": 2**32 - 1},
+                                    {"name": "r", "lines": 2}]
+        path = os.path.join(self.tmp.name, "wide.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        code, err = self.run_bench(path)
+        self.assertEqual(code, 2)
+        self.assertIn('region "r"', err)
+        # ...per-thread ones once the sweep reaches a thread count that
+        # takes them there (two slices of 2^31 + 1 lines).
+        doc = spec_config()
+        doc["params"]["regions"][0].update(lines=2**31 + 1, per_thread=True)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        code, err = self.run_bench(path)
+        self.assertEqual(code, 2)
+        self.assertIn('region "r"', err)
 
     def test_missing_config_file_exits_nonzero(self):
         code, err = self.run_bench(

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,16 @@ struct TxInstance {
   std::vector<std::uint32_t> writes; // ditto; may overlap reads
 
   [[nodiscard]] std::size_t footprint_lines() const noexcept;
+};
+
+// A malformed workload description: a config or trace file with a bad key,
+// or a spec whose layout cannot be built for the requested thread count.
+// The message names the offending key or region (e.g. `workload config
+// intruder.json: phases[2].until: must be in (0, 1]`) so CLI consumers can
+// print it verbatim and exit 2. `workload::ConfigError` is the same type.
+class ConfigError : public std::runtime_error {
+ public:
+  explicit ConfigError(const std::string& msg) : std::runtime_error(msg) {}
 };
 
 // The generator contract (DESIGN.md §11). Both executors — the machine

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,16 +63,65 @@ struct WorkloadSpec {
   std::uint64_t think_mean = 300;   // exponential inter-transaction gap
 };
 
-// Turns a spec into an executable workload. One instance per simulated run
-// (it is stateless apart from precomputed tables, so reuse is also fine).
+// A spec plus everything sampling derives from it, built once per spec and
+// shared read-only by every SpecWorkload made from it (one per run): the
+// normalized spec (a default uniform phase filled in), each phase's mix
+// total, each skewed region's Zipf table, and each type's canonicalization
+// plan. Nothing in it changes after construction, so concurrent runs read
+// it without synchronization (DESIGN.md §11, "Generator cost").
+struct CompiledSpec {
+  explicit CompiledSpec(WorkloadSpec s);
+
+  // Every read (or write) sample one type draws from one region: a slice
+  // [begin, end) of the drawn footprint. Groups ascend by region index.
+  struct Group {
+    std::uint16_t region = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  struct TypePlan {
+    // Where access k's reads (writes) land in the drawn reads (writes).
+    util::SmallVec<std::uint32_t, 6> read_at;
+    util::SmallVec<std::uint32_t, 6> write_at;
+    std::uint32_t n_reads = 0;
+    std::uint32_t n_writes = 0;
+    std::uint32_t bitmap_words = 0;  // bitmap words its largest bitmap region needs
+    std::vector<Group> read_groups;
+    std::vector<Group> write_groups;
+  };
+  struct RegionTable {
+    std::optional<util::Zipf> zipf;  // skewed regions of more than one line
+    // LSD radix passes (8-bit digits) over region-relative offsets; 0 for a
+    // region of at most kBitmapLines, canonicalized through a bitmap.
+    std::uint8_t radix_passes = 0;
+  };
+
+  // Regions up to this size canonicalize through an on-stack bitmap.
+  static constexpr std::uint32_t kBitmapLines = 4096;
+  // Larger regions insertion-sort groups of up to this many samples and
+  // radix-sort bigger ones.
+  static constexpr std::uint32_t kInsertionMax = 32;
+
+  WorkloadSpec spec;
+  std::vector<double> mix_total;  // per phase: the sum of its mix weights
+  std::vector<RegionTable> regions;
+  std::vector<TypePlan> types;
+};
+
+// Turns a spec into an executable workload. One instance per simulated run;
+// the sampling tables are shared, the per-thread scratch is not.
 class SpecWorkload final : public sim::Workload {
  public:
-  explicit SpecWorkload(WorkloadSpec spec, std::size_t n_threads);
+  // Lays out the line-id space for `n_threads`. Throws sim::ConfigError
+  // naming the region when the layout does not fit 32-bit line ids.
+  SpecWorkload(std::shared_ptr<const CompiledSpec> compiled, std::size_t n_threads);
+  // Compiles `spec` for this instance alone.
+  SpecWorkload(WorkloadSpec spec, std::size_t n_threads);
 
-  [[nodiscard]] const std::string& name() const override { return spec_.name; }
-  [[nodiscard]] std::size_t n_types() const override { return spec_.types.size(); }
+  [[nodiscard]] const std::string& name() const override { return spec().name; }
+  [[nodiscard]] std::size_t n_types() const override { return spec().types.size(); }
   [[nodiscard]] const std::string& type_name(core::TxTypeId t) const override {
-    return spec_.types[static_cast<std::size_t>(t)].name;
+    return spec().types[static_cast<std::size_t>(t)].name;
   }
 
   void next(core::ThreadId thread, double progress, util::Xoshiro256& rng,
@@ -80,17 +130,23 @@ class SpecWorkload final : public sim::Workload {
   [[nodiscard]] std::uint64_t think_time(core::ThreadId thread,
                                          util::Xoshiro256& rng) override;
 
-  [[nodiscard]] const WorkloadSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] const WorkloadSpec& spec() const noexcept { return compiled_->spec; }
 
  private:
-  [[nodiscard]] const Phase& phase_at(double progress) const noexcept;
-  [[nodiscard]] std::uint32_t sample_line(std::uint16_t region, core::ThreadId thread,
-                                          util::Xoshiro256& rng) const;
+  // One ThreadId's scratch: the radix sort's second buffer.
+  struct alignas(64) Lane {
+    std::vector<std::uint32_t> aux;
+  };
 
-  WorkloadSpec spec_;
+  [[nodiscard]] std::size_t phase_at(double progress) const noexcept;
+  void canonicalize(std::vector<std::uint32_t>& lines,
+                    const std::vector<CompiledSpec::Group>& groups,
+                    core::ThreadId thread, std::uint64_t* bits);
+
+  std::shared_ptr<const CompiledSpec> compiled_;
   std::size_t n_threads_;
-  std::vector<std::uint64_t> region_base_;           // global line-id offsets
-  std::vector<std::unique_ptr<util::Zipf>> zipf_;    // per skewed region
+  std::vector<std::uint64_t> region_base_;  // global line-id offsets
+  std::vector<Lane> lanes_;                 // one per ThreadId
 };
 
 }  // namespace seer::stamp

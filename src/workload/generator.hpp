@@ -14,22 +14,12 @@
 // object, so new scenarios are config files, not recompiles.
 #pragma once
 
-#include <stdexcept>
-#include <string>
-
 #include "sim/workload.hpp"
 
 namespace seer::workload {
 
 using Generator = sim::Workload;
 using TxInstance = sim::TxInstance;
-
-// A malformed workload config or trace file. The message always names the
-// offending key/path (e.g. `workload config intruder.json: phases[2].until:
-// must be in (0, 1]`) so CLI consumers can print it verbatim and exit.
-class ConfigError : public std::runtime_error {
- public:
-  explicit ConfigError(const std::string& msg) : std::runtime_error(msg) {}
-};
+using ConfigError = sim::ConfigError;
 
 }  // namespace seer::workload

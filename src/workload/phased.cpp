@@ -10,10 +10,8 @@ namespace seer::workload {
 
 using jsonu::Value;
 
-std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
-                                                          const std::string& origin,
-                                                          const std::string& name,
-                                                          std::size_t n_threads) {
+std::shared_ptr<const PhasedWorkload::Plan> PhasedWorkload::parse(
+    const Value& params, const std::string& origin, const std::string& name) {
   jsonu::reject_unknown(params, {"think_mean", "phases"}, origin);
   const std::uint64_t think_mean = jsonu::opt_u64(params, "think_mean", 300, origin);
 
@@ -21,7 +19,10 @@ std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
   if (phases.array.empty()) {
     jsonu::fail(jsonu::sub(origin, "phases"), "must not be empty");
   }
-  std::vector<Regime> regimes;
+  auto plan = std::make_shared<Plan>();
+  plan->name = name;
+  plan->think_mean = think_mean;
+  std::vector<Regime>& regimes = plan->regimes;
   regimes.reserve(phases.array.size());
   double prev_until = 0.0;
   for (std::size_t i = 0; i < phases.array.size(); ++i) {
@@ -42,8 +43,8 @@ std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
       jsonu::fail(jsonu::sub(jsonu::sub(po, "spec"), "think_mean"),
                   "set the phased generator's top-level think_mean instead");
     }
-    regime.spec = spec_from_json(spec, jsonu::sub(po, "spec"),
-                                 name + "#" + std::to_string(i));
+    regime.spec = std::make_shared<const stamp::CompiledSpec>(spec_from_json(
+        spec, jsonu::sub(po, "spec"), name + "#" + std::to_string(i)));
     regimes.push_back(std::move(regime));
   }
   if (prev_until < 1.0) {
@@ -54,10 +55,10 @@ std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
 
   // One vocabulary, one memory: regimes must agree on the type list and on
   // region layout so a shift changes behavior, not the address space.
-  const stamp::WorkloadSpec& first = regimes.front().spec;
+  const stamp::WorkloadSpec& first = regimes.front().spec->spec;
   for (std::size_t i = 1; i < regimes.size(); ++i) {
     const std::string po = jsonu::at(jsonu::sub(origin, "phases"), i);
-    const stamp::WorkloadSpec& s = regimes[i].spec;
+    const stamp::WorkloadSpec& s = regimes[i].spec->spec;
     if (s.types.size() != first.types.size()) {
       jsonu::fail(jsonu::sub(po, "spec"),
                   "all phases must declare the same transaction types");
@@ -84,19 +85,21 @@ std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
     }
   }
 
-  return std::make_unique<PhasedWorkload>(name, std::move(regimes), think_mean,
-                                          n_threads);
+  return plan;
 }
 
-PhasedWorkload::PhasedWorkload(std::string name, std::vector<Regime> regimes,
-                               std::uint64_t think_mean, std::size_t n_threads)
-    : name_(std::move(name)), think_mean_(think_mean) {
-  until_.reserve(regimes.size());
-  regimes_.reserve(regimes.size());
-  for (Regime& r : regimes) {
-    until_.push_back(r.until);
-    regimes_.push_back(
-        std::make_unique<stamp::SpecWorkload>(std::move(r.spec), n_threads));
+std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
+                                                          const std::string& origin,
+                                                          const std::string& name,
+                                                          std::size_t n_threads) {
+  return std::make_unique<PhasedWorkload>(parse(params, origin, name), n_threads);
+}
+
+PhasedWorkload::PhasedWorkload(std::shared_ptr<const Plan> plan, std::size_t n_threads)
+    : plan_(std::move(plan)) {
+  regimes_.reserve(plan_->regimes.size());
+  for (const Regime& r : plan_->regimes) {
+    regimes_.push_back(std::make_unique<stamp::SpecWorkload>(r.spec, n_threads));
   }
 }
 
@@ -107,10 +110,11 @@ const std::string& PhasedWorkload::type_name(core::TxTypeId t) const {
 }
 
 std::size_t PhasedWorkload::regime_index(double progress) const noexcept {
-  for (std::size_t i = 0; i + 1 < until_.size(); ++i) {
-    if (progress < until_[i]) return i;
+  const std::vector<Regime>& regimes = plan_->regimes;
+  for (std::size_t i = 0; i + 1 < regimes.size(); ++i) {
+    if (progress < regimes[i].until) return i;
   }
-  return until_.size() - 1;
+  return regimes.size() - 1;
 }
 
 void PhasedWorkload::next(core::ThreadId thread, double progress,
@@ -120,9 +124,10 @@ void PhasedWorkload::next(core::ThreadId thread, double progress,
 
 std::uint64_t PhasedWorkload::think_time(core::ThreadId /*thread*/,
                                          util::Xoshiro256& rng) {
-  if (think_mean_ == 0) return 0;
+  if (plan_->think_mean == 0) return 0;
   const double u = std::max(rng.uniform01(), 1e-12);
-  return static_cast<std::uint64_t>(-static_cast<double>(think_mean_) * std::log(u));
+  return static_cast<std::uint64_t>(-static_cast<double>(plan_->think_mean) *
+                                    std::log(u));
 }
 
 }  // namespace seer::workload

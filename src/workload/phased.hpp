@@ -36,19 +36,28 @@ class PhasedWorkload final : public Generator {
  public:
   struct Regime {
     double until = 1.0;  // active while progress < until
-    stamp::WorkloadSpec spec;
+    std::shared_ptr<const stamp::CompiledSpec> spec;
+  };
+  // A parsed config: immutable, shared by every workload made from it.
+  struct Plan {
+    std::string name;
+    std::uint64_t think_mean = 300;
+    std::vector<Regime> regimes;
   };
 
-  // Validated construction from the params JSON. Throws ConfigError naming
-  // the bad key. `origin` prefixes diagnostics (usually "params").
+  // Validated parse of the params JSON. Throws ConfigError naming the bad
+  // key. `origin` prefixes diagnostics (usually "params").
+  [[nodiscard]] static std::shared_ptr<const Plan> parse(const util::json::Value& params,
+                                                         const std::string& origin,
+                                                         const std::string& name);
+  // parse + construct.
   [[nodiscard]] static std::unique_ptr<PhasedWorkload> from_json(
       const util::json::Value& params, const std::string& origin,
       const std::string& name, std::size_t n_threads);
 
-  PhasedWorkload(std::string name, std::vector<Regime> regimes,
-                 std::uint64_t think_mean, std::size_t n_threads);
+  PhasedWorkload(std::shared_ptr<const Plan> plan, std::size_t n_threads);
 
-  [[nodiscard]] const std::string& name() const override { return name_; }
+  [[nodiscard]] const std::string& name() const override { return plan_->name; }
   [[nodiscard]] std::size_t n_types() const override;
   [[nodiscard]] const std::string& type_name(core::TxTypeId t) const override;
 
@@ -62,9 +71,7 @@ class PhasedWorkload final : public Generator {
   [[nodiscard]] std::size_t n_regimes() const noexcept { return regimes_.size(); }
 
  private:
-  std::string name_;
-  std::uint64_t think_mean_;
-  std::vector<double> until_;
+  std::shared_ptr<const Plan> plan_;
   std::vector<std::unique_ptr<stamp::SpecWorkload>> regimes_;
 };
 

@@ -17,8 +17,9 @@ using jsonu::Value;
 Desc::Desc(const stamp::WorkloadInfo& info)
     : name(info.name),
       bench_txs_per_thread(info.bench_txs_per_thread),
-      make([spec = info.spec](std::size_t n_threads) -> std::unique_ptr<Generator> {
-        return std::make_unique<stamp::SpecWorkload>(spec(), n_threads);
+      make([compiled = std::make_shared<const stamp::CompiledSpec>(info.spec())](
+               std::size_t n_threads) -> std::unique_ptr<Generator> {
+        return std::make_unique<stamp::SpecWorkload>(compiled, n_threads);
       }) {}
 
 void Registry::add(std::string name, Factory factory) {
@@ -112,11 +113,14 @@ Registry make_builtin_registry() {
   // "spec": a one-off stamp-style geometry straight from JSON.
   reg.add("spec", [](const Value& params, const std::string& display,
                      const std::string& origin) -> Desc {
-    auto spec = std::make_shared<stamp::WorkloadSpec>(
+    auto compiled = std::make_shared<const stamp::CompiledSpec>(
         spec_from_json(params, origin, display));
-    return Desc(spec->name, 4000,
-                [spec](std::size_t n_threads) -> std::unique_ptr<Generator> {
-                  return std::make_unique<stamp::SpecWorkload>(*spec, n_threads);
+    // Lay the spec out once now, so a line space too large even for one
+    // thread fails at config-parse time.
+    (void)stamp::SpecWorkload(compiled, 1);
+    return Desc(compiled->spec.name, 4000,
+                [compiled](std::size_t n_threads) -> std::unique_ptr<Generator> {
+                  return std::make_unique<stamp::SpecWorkload>(compiled, n_threads);
                 });
   });
 
@@ -124,15 +128,13 @@ Registry make_builtin_registry() {
   reg.add("phased", [](const Value& params, const std::string& display,
                        const std::string& origin) -> Desc {
     const std::string name = display.empty() ? "phased" : display;
-    // Validate now (config-parse time); rebuild per make with the real
-    // thread count from the captured params copy.
-    (void)PhasedWorkload::from_json(params, origin, name, 1);
-    auto params_copy = std::make_shared<Value>(params);
+    // Parse, validate and compile the regimes now (config-parse time); each
+    // make only lays them out for its thread count.
+    auto plan = PhasedWorkload::parse(params, origin, name);
+    (void)PhasedWorkload(plan, 1);
     return Desc(name, 4000,
-                [params_copy, name, origin](std::size_t n_threads)
-                    -> std::unique_ptr<Generator> {
-                  return PhasedWorkload::from_json(*params_copy, origin, name,
-                                                   n_threads);
+                [plan](std::size_t n_threads) -> std::unique_ptr<Generator> {
+                  return std::make_unique<PhasedWorkload>(plan, n_threads);
                 });
   });
 

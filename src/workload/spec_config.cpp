@@ -106,6 +106,13 @@ stamp::WorkloadSpec spec_from_json(const Value& obj, const std::string& origin,
       jsonu::fail(jsonu::sub(to, "duration_jitter"), "must be in [0, 1)");
     }
     const Value& accesses = jsonu::require_array(t, "accesses", to);
+    if (accesses.array.size() > decltype(ts.accesses)::capacity()) {
+      jsonu::fail(jsonu::sub(to, "accesses"),
+                  "must list at most " +
+                      std::to_string(decltype(ts.accesses)::capacity()) +
+                      " region accesses (got " +
+                      std::to_string(accesses.array.size()) + ")");
+    }
     for (std::size_t j = 0; j < accesses.array.size(); ++j) {
       const std::string ao = jsonu::at(jsonu::sub(to, "accesses"), j);
       const Value& a = accesses.array[j];

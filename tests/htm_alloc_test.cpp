@@ -1,7 +1,8 @@
 // Proves the SoftHtm writer commit path is allocation-free once warm
 // (ISSUE 5 acceptance): after a few warm-up transactions every vector and
 // index has reached steady-state capacity, and whole attempt/commit cycles
-// must run without touching the global allocator.
+// must run without touching the global allocator. The STAMP generators'
+// next() — the simulator's hot call — is held to the same standard.
 //
 // The instrumentation replaces global operator new/delete with counting
 // forwarders, so this binary is deliberately NOT in the sanitizer label set
@@ -15,6 +16,7 @@
 
 #include "htm/abort_code.hpp"
 #include "htm/soft_htm.hpp"
+#include "stamp/workloads.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -153,6 +155,27 @@ TEST(SoftHtmAlloc, WarmPostPromotionWriterCommitsAreAllocationFree) {
   }
   EXPECT_EQ(g_news.load(), before)
       << "a warm promote-read-write-commit cycle must never hit the allocator";
+}
+
+// Once a thread's instance vectors and radix scratch have grown to the
+// largest footprint its types draw, sampling allocates nothing: the Zipf
+// guide tables, canonicalization plans and bitmaps are all built or on the
+// stack already.
+TEST(GeneratorAlloc, WarmSpecWorkloadNextIsAllocationFree) {
+  for (const char* name : {"yada", "vacation-high", "genome", "intruder", "ssca2"}) {
+    const auto wl = stamp::make_workload(name, 4);
+    util::Xoshiro256 rng(11);
+    sim::TxInstance inst;
+    const auto sample = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        wl->next(static_cast<core::ThreadId>(i % 4), 0.5, rng, inst);
+      }
+    };
+    sample(2000);
+    const std::uint64_t before = g_news.load();
+    sample(2000);
+    EXPECT_EQ(g_news.load(), before) << name << ": a warm next() allocated";
+  }
 }
 
 }  // namespace

@@ -17,11 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/runner.hpp"
@@ -30,6 +33,7 @@
 #include "stamp/workloads.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/zipf.hpp"
 #include "workload/bst.hpp"
 #include "workload/phased.hpp"
 #include "workload/registry.hpp"
@@ -712,6 +716,457 @@ TEST(GeneratorContract, EveryRegisteredGeneratorEmitsSortedUniqueLines) {
     EXPECT_GT(sampled, 0u) << name;
   }
   std::remove(trace_path.c_str());
+}
+
+// ------------------------------------------------- sampling exactness ----
+//
+// SpecWorkload::next draws Zipf ranks through a guide table and
+// canonicalizes each region's lines on its own (DESIGN.md §11, "Generator
+// cost"). Both must reproduce what a binary search over the CDF and one
+// sort + unique of each whole side give, draw for draw.
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return std::strtoull(v, nullptr, 10);
+}
+
+std::string replay_hint(std::uint64_t seed) {
+  return "replay with: SEER_PROPERTY_SEED=" + std::to_string(seed) +
+         " ./build/tests/workload_test";
+}
+
+// The first rank whose CDF entry is >= u, or the last rank.
+std::uint64_t binary_search_rank(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0;
+  std::size_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(ZipfGuide, LookupMatchesBinarySearchAtAndBetweenEveryCdfEntry) {
+  const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
+  const std::uint64_t seed = master != 0 ? master : 0x21FFu;
+  util::Xoshiro256 rng(seed);
+  struct Case {
+    std::uint64_t n;
+    double skew;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t n : {1u, 2u, 16u, 2048u}) {
+    for (const double skew : {0.3, 0.6, 0.8, 0.99, 1.2}) cases.push_back({n, skew});
+  }
+  // Steep enough that the tail's increments vanish below double precision:
+  // runs of equal CDF entries (plateaus).
+  cases.push_back({65536, 4.0});
+  bool saw_plateau = false;
+  for (const Case& c : cases) {
+    const util::Zipf z(c.n, c.skew);
+    const std::vector<double>& cdf = z.cdf();
+    const std::string where = "n=" + std::to_string(c.n) +
+                              " skew=" + std::to_string(c.skew) + " " +
+                              replay_hint(seed);
+    const auto check = [&](double u) {
+      if (!(u >= 0.0 && u < 1.0)) return;
+      ASSERT_EQ(z.rank_of(u), binary_search_rank(cdf, u)) << "u=" << u << " " << where;
+    };
+    for (std::size_t k = 0; k < cdf.size(); ++k) {
+      check(cdf[k]);
+      check(std::nextafter(cdf[k], 0.0));
+      check(std::nextafter(cdf[k], 2.0));
+      if (k > 0 && cdf[k] == cdf[k - 1]) saw_plateau = true;
+    }
+    // The guide's own bucket edges j/n and their neighbours.
+    for (std::uint64_t j = 0; j < c.n; ++j) {
+      const double edge = static_cast<double>(j) / static_cast<double>(c.n);
+      check(edge);
+      check(std::nextafter(edge, 0.0));
+      check(std::nextafter(edge, 2.0));
+    }
+    check(0.0);
+    check(std::nextafter(1.0, 0.0));
+    for (int i = 0; i < 20000; ++i) check(rng.uniform01());
+    // sample() is rank_of(uniform01()): one draw, the same rank.
+    util::Xoshiro256 a(seed ^ c.n);
+    util::Xoshiro256 b(seed ^ c.n);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(z.sample(a), binary_search_rank(cdf, b.uniform01())) << where;
+    }
+    EXPECT_EQ(a.state(), b.state()) << where;
+  }
+  EXPECT_TRUE(saw_plateau) << "no case exercised equal CDF entries";
+}
+
+// The sampler as it was before the guide table and per-region
+// canonicalization: binary-searched Zipf ranks, every line drawn in access
+// order, one sort + unique per side.
+class ReferenceSampler {
+ public:
+  ReferenceSampler(const stamp::WorkloadSpec& spec, std::size_t n_threads)
+      : spec_(spec) {
+    std::uint64_t base = 0;
+    for (const stamp::Region& r : spec_.regions) {
+      base_.push_back(base);
+      base += static_cast<std::uint64_t>(r.lines) * (r.per_thread ? n_threads : 1);
+      cdf_.push_back(r.zipf_skew > 0.0 && r.lines > 1
+                         ? util::Zipf(r.lines, r.zipf_skew).cdf()
+                         : std::vector<double>{});
+    }
+  }
+
+  void next(core::ThreadId thread, double progress, util::Xoshiro256& rng,
+            sim::TxInstance& out) const {
+    const stamp::Phase* phase = &spec_.phases.back();
+    double acc = 0.0;
+    for (const stamp::Phase& p : spec_.phases) {
+      acc += p.fraction;
+      if (progress < acc) {
+        phase = &p;
+        break;
+      }
+    }
+    double total = 0.0;
+    for (double w : phase->mix) total += w;
+    double pick = rng.uniform01() * total;
+    std::size_t type = 0;
+    for (; type + 1 < phase->mix.size(); ++type) {
+      pick -= phase->mix[type];
+      if (pick < 0.0) break;
+    }
+    const stamp::TxTypeSpec& ts = spec_.types[type];
+    out.type = static_cast<core::TxTypeId>(type);
+    out.duration = static_cast<std::uint64_t>(
+        static_cast<double>(ts.duration_mean) *
+        (1.0 - ts.duration_jitter + 2.0 * ts.duration_jitter * rng.uniform01()));
+    if (out.duration == 0) out.duration = 1;
+    out.reads.clear();
+    out.writes.clear();
+    for (const stamp::RegionAccess& a : ts.accesses) {
+      for (int i = 0; i < a.reads; ++i) {
+        out.reads.push_back(line(a.region, thread, rng));
+      }
+      for (int i = 0; i < a.writes; ++i) {
+        out.writes.push_back(line(a.region, thread, rng));
+      }
+    }
+    for (auto* v : {&out.reads, &out.writes}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+  }
+
+ private:
+  std::uint32_t line(std::uint16_t region, core::ThreadId thread,
+                     util::Xoshiro256& rng) const {
+    const stamp::Region& r = spec_.regions[region];
+    const std::uint64_t within = cdf_[region].empty()
+                                     ? rng.below(r.lines)
+                                     : binary_search_rank(cdf_[region], rng.uniform01());
+    const std::uint64_t slice = r.per_thread ? std::uint64_t{thread} * r.lines : 0;
+    return static_cast<std::uint32_t>(base_[region] + slice + within);
+  }
+
+  stamp::WorkloadSpec spec_;
+  std::vector<std::uint64_t> base_;
+  std::vector<std::vector<double>> cdf_;
+};
+
+// Drives `gen` and `ref(progress)` on every thread from equal seeds and
+// requires equal instances and equal RNG states after every call.
+template <typename RefFor>
+void expect_matches_reference(Generator& gen, RefFor&& ref, std::size_t n_threads,
+                              int instances, const std::string& where) {
+  for (std::size_t th = 0; th < n_threads; ++th) {
+    const auto id = static_cast<core::ThreadId>(th);
+    util::Xoshiro256 rng_a(0x5EED + th);
+    util::Xoshiro256 rng_b(0x5EED + th);
+    sim::TxInstance got;
+    sim::TxInstance want;
+    for (int i = 0; i < instances; ++i) {
+      const double progress = static_cast<double>(i) / instances;
+      gen.next(id, progress, rng_a, got);
+      ref(progress).next(id, progress, rng_b, want);
+      const std::string at = where + " thread=" + std::to_string(th) +
+                             " i=" + std::to_string(i);
+      ASSERT_EQ(got.type, want.type) << at;
+      ASSERT_EQ(got.duration, want.duration) << at;
+      ASSERT_EQ(got.reads, want.reads) << at;
+      ASSERT_EQ(got.writes, want.writes) << at;
+      ASSERT_EQ(rng_a.state(), rng_b.state()) << at << ": draw counts differ";
+    }
+  }
+}
+
+TEST(SamplingExactness, EveryStandInMatchesTheReference) {
+  for (const std::string& name : stamp_names()) {
+    for (const std::size_t n_threads : {1u, 3u, 8u}) {
+      const auto gen = find(name).make(n_threads);
+      const auto* spec_wl = dynamic_cast<const stamp::SpecWorkload*>(gen.get());
+      ASSERT_NE(spec_wl, nullptr) << name;
+      const ReferenceSampler ref(spec_wl->spec(), n_threads);
+      expect_matches_reference(
+          *gen, [&](double) -> const ReferenceSampler& { return ref; }, n_threads, 300,
+          name + " n_threads=" + std::to_string(n_threads));
+    }
+  }
+}
+
+TEST(SamplingExactness, PhasedRegimesMatchTheReference) {
+  const Value params = parse_or_die(R"({"phases": [
+      {"until": 0.4, "spec": {
+       "regions": [{"name": "a", "lines": 300, "zipf_skew": 0.9},
+                   {"name": "b", "lines": 70000, "per_thread": true}],
+       "types": [{"name": "u", "duration_mean": 200,
+                  "accesses": [{"region": "b", "reads": 40, "writes": 3},
+                               {"region": "a", "reads": 8, "writes": 8}]}]}},
+      {"until": 1.0, "spec": {
+       "regions": [{"name": "a", "lines": 300},
+                   {"name": "b", "lines": 70000, "per_thread": true}],
+       "types": [{"name": "u", "duration_mean": 200,
+                  "accesses": [{"region": "a", "reads": 20, "writes": 4},
+                               {"region": "b", "reads": 2}]}]}}]})");
+  const auto plan = PhasedWorkload::parse(params, "<p>", "phased");
+  constexpr std::size_t kThreads = 3;
+  PhasedWorkload gen(plan, kThreads);
+  std::vector<ReferenceSampler> refs;
+  for (const auto& regime : plan->regimes) refs.emplace_back(regime.spec->spec, kThreads);
+  expect_matches_reference(
+      gen,
+      [&](double progress) -> const ReferenceSampler& {
+        return refs[gen.regime_index(progress)];
+      },
+      kThreads, 300, "phased");
+}
+
+// A random "spec" config. Region sizes and per-group sample counts straddle
+// the bitmap (4096 lines) and insertion-sort (32 samples) cut-offs; types
+// touch regions repeatedly and out of index order, and some regions are
+// per-thread. Skewed regions stay small so their Zipf tables do.
+std::string random_spec_config(util::Xoshiro256& rng) {
+  static constexpr std::uint64_t kLines[] = {1,    2,     63,    64,      65,
+                                             4095, 4096,  4097,  8192,    65536,
+                                             65537, 1u << 20, (1u << 24) + 3};
+  static constexpr std::uint64_t kCounts[] = {0, 1, 2, 5, 16, 31, 32, 33, 40, 64, 100};
+  static constexpr double kSkews[] = {0.3, 0.6, 0.99, 1.2};
+  const auto pick = [&rng](const auto& table) {
+    return table[rng.below(std::size(table))];
+  };
+  const std::size_t n_regions = 1 + rng.below(6);
+  std::string regions;
+  for (std::size_t r = 0; r < n_regions; ++r) {
+    const std::uint64_t lines = pick(kLines);
+    const bool skewed = lines <= 8192 && rng.below(2) == 0;
+    regions += std::string(r == 0 ? "" : ", ") + R"({"name": "r)" + std::to_string(r) +
+               R"(", "lines": )" + std::to_string(lines) +
+               (skewed ? R"(, "zipf_skew": )" + std::to_string(pick(kSkews)) : "") +
+               (rng.below(3) == 0 ? R"(, "per_thread": true)" : "") + "}";
+  }
+  const std::size_t n_types = 1 + rng.below(4);
+  std::string types;
+  std::string mix;
+  for (std::size_t t = 0; t < n_types; ++t) {
+    std::string accesses;
+    const std::size_t n_acc = 1 + rng.below(6);
+    for (std::size_t a = 0; a < n_acc; ++a) {
+      accesses += std::string(a == 0 ? "" : ", ") + R"({"region": "r)" +
+                  std::to_string(rng.below(n_regions)) + R"(", "reads": )" +
+                  std::to_string(pick(kCounts)) + R"(, "writes": )" +
+                  std::to_string(pick(kCounts)) + "}";
+    }
+    types += std::string(t == 0 ? "" : ", ") + R"({"name": "t)" + std::to_string(t) +
+             R"(", "duration_mean": )" + std::to_string(100 + rng.below(2000)) +
+             R"(, "accesses": [)" + accesses + "]}";
+    mix += std::string(t == 0 ? "" : ", ") + std::to_string(1 + rng.below(5));
+  }
+  return R"({"generator": "spec", "params": {"regions": [)" + regions +
+         R"(], "types": [)" + types + R"(], "mix": [)" + mix + "]}}";
+}
+
+TEST(SamplingExactness, RandomSpecsMatchTheReference) {
+  const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
+  const std::uint64_t iters = master != 0 ? 1 : env_u64("SEER_PROPERTY_ITERS", 25);
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = master != 0 ? master : 0xC0DE000u + i;
+    util::Xoshiro256 rng(seed);
+    const std::string config = random_spec_config(rng);
+    const std::size_t n_threads = 1 + rng.below(4);
+    const auto gen = from_config_json(parse_or_die(config), "<random>").make(n_threads);
+    const auto* spec_wl = dynamic_cast<const stamp::SpecWorkload*>(gen.get());
+    ASSERT_NE(spec_wl, nullptr);
+    const ReferenceSampler ref(spec_wl->spec(), n_threads);
+    expect_matches_reference(
+        *gen, [&](double) -> const ReferenceSampler& { return ref; }, n_threads, 60,
+        "seed " + std::to_string(seed) + " (" + replay_hint(seed) + ")\n" + config);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The fixed shapes the random sweep may miss: the same region twice in one
+// type (vacation's delete_customer pattern is region 6 then region 0), a
+// radix region whose group crosses the insertion-sort cut-off only when its
+// two accesses add up, and a per-thread radix region.
+TEST(SamplingExactness, RepeatedAndOutOfOrderRegionsMatchTheReference) {
+  const Value doc = parse_or_die(R"({"generator": "spec", "params": {
+    "regions": [{"name": "small", "lines": 100, "zipf_skew": 0.7},
+                {"name": "big", "lines": 100000},
+                {"name": "mine", "lines": 5000, "per_thread": true}],
+    "types": [{"name": "x", "duration_mean": 100,
+               "accesses": [{"region": "big", "reads": 20, "writes": 20},
+                            {"region": "small", "reads": 5, "writes": 1},
+                            {"region": "big", "reads": 20, "writes": 1},
+                            {"region": "mine", "reads": 33}]},
+              {"name": "y", "duration_mean": 100,
+               "accesses": [{"region": "mine", "writes": 3},
+                            {"region": "small", "reads": 40}]}]}})");
+  constexpr std::size_t kThreads = 4;
+  const auto gen = from_config_json(doc, "<fixed>").make(kThreads);
+  const ReferenceSampler ref(dynamic_cast<const stamp::SpecWorkload&>(*gen).spec(),
+                             kThreads);
+  expect_matches_reference(
+      *gen, [&](double) -> const ReferenceSampler& { return ref; }, kThreads, 400,
+      "fixed");
+}
+
+// ------------------------------------------------------- line-id space ----
+
+TEST(LineSpace, LayoutPastTwoToThe32IsANamedError) {
+  stamp::WorkloadSpec spec;
+  spec.name = "wide";
+  spec.regions = {{.name = "slice", .lines = (1u << 31) + 1, .per_thread = true},
+                  {.name = "tail", .lines = 8}};
+  spec.types = {{.name = "t", .accesses = {{.region = 0, .reads = 1}}}};
+  const auto compiled = std::make_shared<const stamp::CompiledSpec>(spec);
+  EXPECT_NO_THROW((void)stamp::SpecWorkload(compiled, 1));
+  // Two slices of 2^31 + 1 lines plus the tail: 4294967306 lines.
+  expect_config_error([&] { (void)stamp::SpecWorkload(compiled, 2); }, "\"slice\"");
+  expect_config_error([&] { (void)stamp::SpecWorkload(compiled, 2); }, "4294967306");
+}
+
+TEST(LineSpace, ExactlyTwoToThe32LinesFitWithoutWrapping) {
+  stamp::WorkloadSpec spec;
+  spec.name = "full";
+  spec.regions = {{.name = "bulk", .lines = 0xFFFFFFFFu - 4095},
+                  {.name = "top", .lines = 4096}};
+  spec.types = {{.name = "t",
+                 .accesses = {{.region = 1, .reads = 2, .writes = 64},
+                              {.region = 0, .reads = 40}}}};
+  stamp::SpecWorkload wl(std::move(spec), 1);
+  util::Xoshiro256 rng(9);
+  sim::TxInstance inst;
+  for (int i = 0; i < 50; ++i) {
+    wl.next(0, 0.0, rng, inst);
+    ASSERT_FALSE(inst.writes.empty());
+    EXPECT_GE(inst.writes.front(), 0xFFFFFFFFu - 4095) << "a top-region id wrapped";
+    EXPECT_GE(inst.reads.back(), 0xFFFFFFFFu - 4095) << "reads end in the top region";
+    EXPECT_LT(inst.reads.front(), 0xFFFFFFFFu - 4095);
+  }
+}
+
+TEST(LineSpace, ConfigFrontEndRejectsWrappingSpecs) {
+  // Shared regions past 2^32 lines fail at config-parse time...
+  expect_config_error(
+      [] {
+        (void)from_config_json(parse_or_die(R"({"generator": "spec", "params": {
+          "regions": [{"name": "a", "lines": 4294967295}, {"name": "b", "lines": 2}],
+          "types": [{"name": "t", "duration_mean": 10,
+                     "accesses": [{"region": "b", "reads": 1}]}]}})"),
+                               "<c>");
+      },
+      "region \"b\"");
+  // ...per-thread ones when a thread count takes them there.
+  const Desc d = from_config_json(parse_or_die(R"({"generator": "spec", "params": {
+    "regions": [{"name": "private", "lines": 2147483649, "per_thread": true}],
+    "types": [{"name": "t", "duration_mean": 10,
+               "accesses": [{"region": "private", "reads": 1}]}]}})"),
+                                  "<c>");
+  EXPECT_NO_THROW((void)d.make(1));
+  expect_config_error([&] { (void)d.make(2); }, "region \"private\"");
+}
+
+TEST(Config, TooManyAccessesPerTypeIsNamed) {
+  std::string accesses;
+  for (int i = 0; i < 7; ++i) {
+    accesses += std::string(i == 0 ? "" : ", ") + R"({"region": "r", "reads": 1})";
+  }
+  expect_config_error(
+      [&] {
+        (void)from_config_json(
+            parse_or_die(R"({"generator": "spec", "params": {
+              "regions": [{"name": "r", "lines": 8}],
+              "types": [{"name": "t", "duration_mean": 10, "accesses": [)" +
+                         accesses + "]}]}}"),
+            "<c>");
+      },
+      "accesses");
+}
+
+// ---------------------------------------------------------- concurrency ----
+
+// Order-sensitive digest of a thread's instance stream.
+std::uint64_t stream_digest(Generator& gen, core::ThreadId thread, std::uint64_t seed,
+                            int instances) {
+  util::Xoshiro256 rng(seed);
+  sim::TxInstance inst;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  for (int i = 0; i < instances; ++i) {
+    gen.next(thread, static_cast<double>(i) / instances, rng, inst);
+    mix(inst.type);
+    mix(inst.duration);
+    for (auto l : inst.reads) mix(l);
+    mix(0xFFFF'FFFF'FFFFull);
+    for (auto l : inst.writes) mix(l);
+  }
+  return h;
+}
+
+// Compiled sampling tables are shared by every make() of a Desc, and one
+// generator serves several ThreadIds at once on the real-thread path: four
+// threads making generators from one Desc, and four threads driving one
+// generator's four ThreadIds, must reproduce a serial run exactly.
+TEST(GeneratorConcurrency, SharedDescAndSharedGeneratorMatchASerialRun) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr int kInstances = 150;
+  for (const std::string& name : {std::string("yada"), std::string("vacation-high"),
+                                  std::string("kmeans-low")}) {
+    const Desc desc = find(name);
+    const auto own_generator = [&](std::size_t w) {
+      const auto gen = desc.make(kWorkers);
+      return stream_digest(*gen, static_cast<core::ThreadId>(w), 100 + w, kInstances);
+    };
+    std::vector<std::uint64_t> serial(kWorkers);
+    for (std::size_t w = 0; w < kWorkers; ++w) serial[w] = own_generator(w);
+
+    std::vector<std::uint64_t> made(kWorkers);
+    std::vector<std::uint64_t> shared(kWorkers);
+    const auto one = desc.make(kWorkers);
+    {
+      std::vector<std::thread> pool;
+      for (std::size_t w = 0; w < kWorkers; ++w) {
+        pool.emplace_back([&, w] { made[w] = own_generator(w); });
+      }
+      for (auto& t : pool) t.join();
+    }
+    {
+      std::vector<std::thread> pool;
+      for (std::size_t w = 0; w < kWorkers; ++w) {
+        pool.emplace_back([&, w] {
+          shared[w] = stream_digest(*one, static_cast<core::ThreadId>(w), 100 + w,
+                                    kInstances);
+        });
+      }
+      for (auto& t : pool) t.join();
+    }
+    EXPECT_EQ(made, serial) << name << ": generators made concurrently from one Desc";
+    EXPECT_EQ(shared, serial) << name << ": one generator driven from four threads";
+  }
 }
 
 }  // namespace
