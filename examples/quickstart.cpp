@@ -2,7 +2,7 @@
 // best-effort transactions.
 //
 // This is the minimal embedding of the library on real threads:
-//   1. create a SoftHtm (on TSX silicon you would enable SEER_ENABLE_TSX),
+//   1. create a SoftHtm, the software TM with a best-effort HTM's interface,
 //   2. create a ThreadedExecutor with PolicyKind::kSeer,
 //   3. give every thread a ThreadHandle,
 //   4. wrap each atomic block in handle.run(<static block id>, body).

@@ -136,6 +136,17 @@ class SeerServeCliTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("Oracle9000", err)
 
+    def test_bad_workers_value_exits_2(self):
+        # Rejected while parsing flags, before any worker thread starts.
+        config = self.write_config(SMALL_OPEN_LOOP)
+        for value in ("abc", "0", "257", "-1", "4x", ""):
+            with self.subTest(workers=value):
+                code, _, err = self.run_serve("--workload", config,
+                                              "--deterministic",
+                                              "--workers", value)
+                self.assertEqual(code, 2)
+                self.assertIn("--workers", err)
+
     def test_missing_workload_flag_is_a_usage_error(self):
         code, _, err = self.run_serve("--deterministic")
         self.assertEqual(code, 2)

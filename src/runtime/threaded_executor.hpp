@@ -1,8 +1,8 @@
 // ThreadedExecutor — the real-threads driver of the policy protocol.
 //
 // Reifies the symbolic lock space as WordLocks, runs transaction bodies over
-// a SoftHtm (or, with SEER_ENABLE_TSX, real RTM hardware) and drives any
-// Policy through the protocol documented in policy.hpp. This is the
+// a SoftHtm and drives any Policy through the protocol documented in
+// policy.hpp. This is the
 // embedding a downstream user links against: create one executor, one
 // ThreadHandle per thread, and call handle.run(txType, body).
 //

@@ -27,6 +27,7 @@ enum class EventKind : std::uint8_t {
   kOtherAbort,     // interrupt / ring transition / ... (background noise)
   kSglBodyDone,    // pessimistic execution under the SGL finished
   kResume,         // generic continue-after-cost-accounting
+  kArrival,        // open loop: the next request arrives (thread unused)
 };
 
 struct Event {

@@ -45,6 +45,7 @@ struct Machine::ThreadCtx {
     kRunningHw,   // speculative execution in flight
     kQueuedSgl,   // fallback: queued on the SGL
     kRunningSgl,  // pessimistic execution in flight
+    kParked,      // open loop: no admitted request, waiting for an arrival
     kDone,        // finished its share of transactions
   } st = St::kIdle;
 };
@@ -159,7 +160,17 @@ MachineStats Machine::run() {
     stats_.serial_work += think;
     push(think, t->id, EventKind::kStartTx, kAnyGen);
   }
+  return simulate();
+}
 
+MachineStats Machine::run(Arrivals& arrivals) {
+  arrivals_ = &arrivals;
+  for (auto& t : threads_) park(*t);
+  schedule_arrival();
+  return simulate();
+}
+
+MachineStats Machine::simulate() {
   while (!queue_.empty() && done_count_ < cfg_.n_threads) {
     const Event e = queue_.pop();
     emit<obs::Event::kDispatch>(0, queue_.size());
@@ -261,7 +272,45 @@ void Machine::on_event(const Event& e) {
       if (e.gen != t.gen) break;
       dispatch(t);
       break;
+
+    case EventKind::kArrival:
+      on_arrival();
+      break;
   }
+}
+
+void Machine::on_arrival() {
+  // A parked thread means no admitted request is waiting, so an admitted
+  // arrival goes straight to the lowest-id parked thread.
+  if (arrivals_->arrive()) {
+    const std::size_t id = parked_.first();
+    if (id < cfg_.n_threads) {
+      parked_.reset(id);
+      pull(*threads_[id]);
+    }
+  }
+  schedule_arrival();
+}
+
+void Machine::schedule_arrival() {
+  const Time at = arrivals_->next_arrival();
+  if (at != Arrivals::kNone) push(at, 0, EventKind::kArrival, kAnyGen);
+}
+
+void Machine::pull(ThreadCtx& t) {
+  if (!arrivals_->take(t.id, t.inst)) {
+    park(t);
+    return;
+  }
+  run_maintenance(t);
+  begin_instance(t);
+}
+
+void Machine::park(ThreadCtx& t) {
+  // Commit-side costs are paid while the thread waits.
+  t.st = ThreadCtx::St::kParked;
+  t.pending_cost = 0;
+  parked_.set(t.id);
 }
 
 void Machine::run_maintenance(ThreadCtx& t) {
@@ -275,6 +324,10 @@ void Machine::start_tx(ThreadCtx& t) {
   const double progress = static_cast<double>(t.txs_done) /
                           static_cast<double>(cfg_.txs_per_thread);
   workload_->next(t.id, progress, t.rng, t.inst);
+  begin_instance(t);
+}
+
+void Machine::begin_instance(ThreadCtx& t) {
   t.footprint = t.inst.footprint_lines();
   link_instance(t);
   t.policy->begin_tx(t.inst.type, now_);
@@ -538,6 +591,11 @@ void Machine::finish_tx(ThreadCtx& t, bool hardware) {
 
   stats_.serial_work += t.inst.duration;
   ++t.txs_done;
+  if (arrivals_ != nullptr) {
+    arrivals_->commit(t.id, now_, mode);
+    pull(t);
+    return;
+  }
   if (t.txs_done >= cfg_.txs_per_thread || workload_->exhausted(t.id)) {
     t.st = ThreadCtx::St::kDone;
     ++done_count_;

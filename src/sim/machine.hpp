@@ -171,6 +171,27 @@ struct MachineStats {
   }
 };
 
+// Open-loop arrivals (DESIGN.md §12): an actor on the machine's event queue
+// that replaces the closed loop's think-then-sample cycle. Threads start
+// parked; an admitted arrival wakes the lowest-id parked thread, and a
+// thread that commits takes the next admitted request or parks again. The
+// actor samples every instance; the machine's workload only names the
+// types. All times are machine cycles.
+class Arrivals {
+ public:
+  static constexpr Time kNone = ~Time{0};
+
+  virtual ~Arrivals() = default;
+  // Cycle of the next arrival, or kNone once the stream has ended.
+  [[nodiscard]] virtual Time next_arrival() = 0;
+  // The arrival next_arrival() announced happens: admit it (true) or shed it.
+  virtual bool arrive() = 0;
+  // Hands the oldest admitted request to idle `thread`; false when none waits.
+  virtual bool take(core::ThreadId thread, TxInstance& out) = 0;
+  // `thread` committed the request it took, in `mode`.
+  virtual void commit(core::ThreadId thread, Time now, rt::CommitMode mode) = 0;
+};
+
 class Machine {
  public:
   // Throws std::invalid_argument unless 1 <= n_threads <= the topology's
@@ -182,6 +203,9 @@ class Machine {
 
   // Runs the whole experiment to completion and returns the statistics.
   MachineStats run();
+  // Runs open-loop until `arrivals` has ended and every admitted request has
+  // committed; txs_per_thread and think times do not apply.
+  MachineStats run(Arrivals& arrivals);
 
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const Workload& workload() const noexcept { return *workload_; }
@@ -206,6 +230,15 @@ class Machine {
       for (std::size_t w = 0; w < kWords; ++w) r.words[w] = words[w] & o.words[w];
       return r;
     }
+    // The lowest member, or kWords * 64 when empty.
+    [[nodiscard]] std::size_t first() const noexcept {
+      for (std::size_t w = 0; w < kWords; ++w) {
+        if (words[w] != 0) {
+          return w * 64 + static_cast<std::size_t>(std::countr_zero(words[w]));
+        }
+      }
+      return kWords * 64;
+    }
     // Calls f(id) for every member, in ascending id order.
     template <class F>
     void for_each(F&& f) const {
@@ -223,8 +256,15 @@ class Machine {
     }
   };
 
+  MachineStats simulate();
   void on_event(const Event& e);
   void start_tx(ThreadCtx& t);
+  void begin_instance(ThreadCtx& t);
+  // Open loop only.
+  void on_arrival();
+  void schedule_arrival();
+  void pull(ThreadCtx& t);
+  void park(ThreadCtx& t);
   void dispatch(ThreadCtx& t);
   void continue_acquire(ThreadCtx& t);
   void after_acquires(ThreadCtx& t);
@@ -293,6 +333,10 @@ class Machine {
   // finish_tx), and the subset currently speculating in hardware.
   ThreadSet live_;
   ThreadSet in_hw_;
+  // Open loop: the attached actor (null in the closed loop) and the threads
+  // waiting for an arrival.
+  Arrivals* arrivals_ = nullptr;
+  ThreadSet parked_;
   std::size_t done_count_ = 0;
   MachineStats stats_;
 };

@@ -1,17 +1,16 @@
 #include "workload/serve_driver.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <optional>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/seer_scheduler.hpp"
 #include "htm/soft_htm.hpp"
+#include "sim/machine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/periodic.hpp"
 #include "util/format.hpp"
@@ -195,291 +194,193 @@ struct StepOutput {
   std::string jsonl;  // interval lines then the step line
 };
 
-// --- deterministic backend: virtual-time M/G/k simulation -------------------
-//
-// One rate step as an event loop over two event sources — the arrival
-// schedule and a min-heap of in-service completions — on a virtual
-// nanosecond clock. `workers` virtual servers each serve one request at a
-// time; service time is the instance's modelled `duration` in cycles scaled
-// by cycles_per_us. The admission path is the SAME MpmcQueue the real
-// backend uses (single-threaded here, but identical capacity rounding and
-// shed behaviour). Ties break completion-before-arrival, and equal-time
-// completions break by service start order, so the event order — and with
-// it the output bytes — is a pure function of (config, seed).
-
-struct VirtualRequest {
-  std::uint64_t enqueue_ns = 0;
-  std::uint64_t service_ns = 0;
-  bool counted = false;
-  // Conflict model only: the sampled instance (type + footprint), so
-  // in-service overlap can be tested request-against-request.
-  sim::TxInstance inst;
-};
-
-struct Busy {
-  std::uint64_t done_ns = 0;
-  std::uint64_t seq = 0;  // service start order, for deterministic ties
-  std::uint64_t enqueue_ns = 0;
-  bool counted = false;
-  // Conflict model only:
-  std::uint32_t worker = 0;          // virtual server slot occupied
-  core::TxTypeId type = 0;           // announced transaction type
-  bool sgl = false;                  // exhausted its budget into the SGL
-};
-
-struct BusyLater {
-  bool operator()(const Busy& a, const Busy& b) const noexcept {
-    if (a.done_ns != b.done_ns) return a.done_ns > b.done_ns;
-    return a.seq > b.seq;
-  }
-};
-
-// Conflict-model service constants, mirroring the machine simulator's
-// CostModel defaults (the open_loop schema carries no cost-model section;
-// these are modelling knobs, not measurements).
-constexpr double kConflictRetryProb = 0.95;     // an overlap kills this attempt
-constexpr std::uint64_t kAbortPenaltyCycles = 180;
-constexpr double kSglServiceFactor = 1.25;      // serialized re-execution tax
-
-StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
-                            const ServeOptions& opts, std::size_t step,
-                            double rate, double duration_s,
-                            std::size_t workers) {
-  auto gen = desc.make(1);
-  gen->init(0);
-  util::Xoshiro256 rng(step_seed(opts.seed, step));
-  const ArrivalSchedule sched(ol, rate);
-
-  const std::uint64_t warmup_ns = seconds_to_ns(ol.warmup_s);
-  const std::uint64_t end_ns = seconds_to_ns(ol.warmup_s + duration_s);
-  const std::uint64_t emit_ns = ol.emit_interval_ms * 1000000ULL;
-  const double ns_per_cycle = 1000.0 / ol.cycles_per_us;
-
-  // Conflict model: a real Seer scheduler in the service loop. Everything
-  // here runs on one thread in virtual time, so the scheduler sees a
-  // perfectly ordered event stream and its decisions — announce, abort/
-  // commit evidence, scheme rebuilds, storm re-inference — are a pure
-  // function of (config, seed), preserving the byte-identity contract.
-  const bool conflict_model = ol.model == OpenLoopConfig::Model::kConflict;
-  const std::uint64_t abort_penalty_ns = static_cast<std::uint64_t>(
-      static_cast<double>(kAbortPenaltyCycles) * ns_per_cycle);
-  std::unique_ptr<core::SeerScheduler> csched;
-  std::vector<sim::TxInstance> in_service;  // per virtual server slot
-  std::vector<bool> slot_busy;
-  std::optional<VirtualRequest> held;  // popped but scheme-deferred
-  std::uint64_t sgl_commits = 0;
-  if (conflict_model) {
-    core::SeerConfig scfg = opts.policy.seer;
-    scfg.n_threads = workers;
-    scfg.n_types = gen->n_types();
-    scfg.seed = step_seed(opts.seed, step);
-    if (desc.topology) scfg.topology = *desc.topology;
-    csched = std::make_unique<core::SeerScheduler>(scfg);
-    in_service.assign(workers, {});
-    slot_busy.assign(workers, false);
-  }
-  const auto to_cycles = [&](std::uint64_t ns) {
-    return static_cast<std::uint64_t>(static_cast<double>(ns) / ns_per_cycle);
-  };
-
-  util::MpmcQueue<VirtualRequest> queue(ol.queue_capacity);
-  std::priority_queue<Busy, std::vector<Busy>, BusyLater> busy;
-  util::LatencyHistogram hist;
-  util::LatencyBuckets buckets;
-  util::LatencyBucketCounts bprev{};
-  Totals totals, tprev;
-  std::uint64_t queue_depth = 0, queue_peak = 0, next_seq = 0;
-  std::uint64_t next_arrival = sched.next_gap_ns(0.0, rng);
-  std::uint64_t next_emit = emit_ns;
-  bool arrivals_done = false;
-  StepOutput out;
-  sim::TxInstance inst;
-
-  // Virtual lane = step index: concurrent --jobs steps each own a lane, so
-  // hub counters stay single-writer. Gauges race across steps (last writer
-  // wins) — acceptable for point-in-time values by definition.
-  ServeTelemetry* const tel = opts.telemetry;
-  const auto tid = static_cast<core::ThreadId>(step);
-  const bool tl = tel_lane_ok(tel, step);
-  if (tel != nullptr) {
-    tel->set_offered_rate(rate);
-    tel->registry().set_gauge(tel->step, step);
-    tel->registry().set_gauge(tel->workers, workers);
-    tel->registry().set_gauge(tel->offered_rate_millirps,
-                              static_cast<std::uint64_t>(rate * 1000.0 + 0.5));
-  }
-  std::uint64_t events = 0;
-
-  const auto start_service = [&](std::uint64_t now) {
-    VirtualRequest r;
-    if (!conflict_model) {
-      while (busy.size() < workers && queue.try_pop(r)) {
-        --queue_depth;
-        busy.push(Busy{now + r.service_ns, next_seq++, r.enqueue_ns, r.counted,
-                       0, 0, false});
-      }
-      return;
-    }
-    // Conflict model: scheme-driven admission. The head request stays held
-    // (still occupying its admission-queue slot) while the inferred lock
-    // scheme serializes its type against any in-service type — Seer's core
-    // decision, surfaced as queueing delay instead of wasted aborts. A
-    // deferral implies the floor is non-empty, so a completion event always
-    // re-triggers this and the loop cannot stall.
-    while (busy.size() < workers) {
-      if (!held) {
-        if (!queue.try_pop(r)) break;
-        held = std::move(r);
-      }
-      const core::TxTypeId type = held->inst.type;
-      const auto scheme = csched->scheme();
-      bool deferred = false;
-      for (std::size_t w = 0; w < workers && !deferred; ++w) {
-        if (!slot_busy[w]) continue;
-        for (const core::TxTypeId y : scheme->row(type)) {
-          deferred |= y == in_service[w].type;
-        }
-      }
-      if (deferred) break;
-      std::size_t slot = 0;
-      while (slot_busy[slot]) ++slot;  // busy.size() < workers => one is free
-      const auto wtid = static_cast<core::ThreadId>(slot);
-      csched->announce(wtid, type);
-      // Pre-simulate the attempt ladder against the current floor: an
-      // overlapping footprint can kill each attempt; every abort pays the
-      // rollback penalty plus a full re-execution, and an exhausted budget
-      // takes the SGL — serialized and slower, but guaranteed.
-      bool overlap = false;
-      for (std::size_t w = 0; w < workers && !overlap; ++w) {
-        overlap = slot_busy[w] && sim::instances_conflict(held->inst, in_service[w]);
-      }
-      std::uint64_t service = 0;
-      int aborts = 0;
-      if (overlap) {
-        const int budget = csched->config().max_attempts;
-        while (aborts < budget && rng.bernoulli(kConflictRetryProb)) {
-          ++aborts;
-          csched->record_abort(wtid, type);
-          service += held->service_ns + abort_penalty_ns;
-        }
-      }
-      const bool sgl = overlap && aborts >= csched->config().max_attempts;
-      if (sgl) {
-        csched->note_sgl_fallback();
-        service += static_cast<std::uint64_t>(
-            static_cast<double>(held->service_ns) * kSglServiceFactor);
-      } else {
-        service += held->service_ns;
-      }
-      slot_busy[slot] = true;
-      in_service[slot] = held->inst;
-      --queue_depth;
-      busy.push(Busy{now + service, next_seq++, held->enqueue_ns, held->counted,
-                     static_cast<std::uint32_t>(slot), type, sgl});
-      held.reset();
-    }
-  };
-
-  for (;;) {
-    // A stop request ends arrivals; the loop then drains the queue and the
-    // in-service heap exactly as if the window had closed.
-    if (!arrivals_done && stop_requested(opts)) arrivals_done = true;
-    if (tel != nullptr && (++events & 0xFFF) == 0) {
-      const std::uint64_t w = wall_ns();
-      tel->producer_beat(w);
-      tel->worker_beat(w);
-      tel->registry().set_gauge(tel->queue_depth, queue_depth);
-    }
-    const std::uint64_t arrival_t =
-        arrivals_done ? ~std::uint64_t{0} : next_arrival;
-    const std::uint64_t completion_t =
-        busy.empty() ? ~std::uint64_t{0} : busy.top().done_ns;
-    const std::uint64_t t_next = completion_t < arrival_t ? completion_t : arrival_t;
-    if (t_next == ~std::uint64_t{0}) break;  // idle and out of arrivals
-
-    while (next_emit <= t_next && next_emit <= end_ns) {
-      const double t_s = static_cast<double>(next_emit) / 1e9;
-      append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
-                           tprev, queue_depth, buckets.snapshot(), bprev, "");
-      next_emit += emit_ns;
-    }
-
-    if (completion_t <= arrival_t) {
-      const Busy b = busy.top();
-      busy.pop();
-      ++totals.completed;
-      if (conflict_model) {
-        const auto wtid = static_cast<core::ThreadId>(b.worker);
-        // Only hardware commits carry scheduling evidence (Alg. 2); an SGL
-        // completion just releases its slot.
-        if (!b.sgl) csched->record_commit(wtid, b.type);
-        csched->clear(wtid);
-        slot_busy[b.worker] = false;
-        if (b.sgl) ++sgl_commits;
-        csched->maybe_update(0, to_cycles(b.done_ns));
-      }
-      if (tl) tel->registry().add(tel->completed, tid);
-      if (b.counted) hist.record(b.done_ns - b.enqueue_ns);
-      if (b.counted) buckets.record(b.done_ns - b.enqueue_ns);
-      if (b.counted && tel != nullptr) {
-        tel->latency().record(b.done_ns - b.enqueue_ns);
-      }
-      start_service(b.done_ns);
-      continue;
-    }
-
-    const std::uint64_t now = next_arrival;
-    if (now >= end_ns || gen->exhausted(0)) {
-      arrivals_done = true;
-      continue;
-    }
-    const double progress =
-        static_cast<double>(now) / static_cast<double>(end_ns);
-    gen->next(0, progress, rng, inst);
-    double service_d = static_cast<double>(inst.duration) * ns_per_cycle;
-    if (service_d < 1.0) service_d = 1.0;
-    VirtualRequest r;
-    r.enqueue_ns = now;
-    r.service_ns = static_cast<std::uint64_t>(service_d);
-    r.counted = now >= warmup_ns;
-    if (conflict_model) r.inst = inst;
-    ++totals.arrivals;
-    if (tl) tel->registry().add(tel->arrivals, tid);
-    if (queue.try_push(std::move(r))) {
-      ++totals.accepted;
-      if (tl) tel->registry().add(tel->accepted, tid);
-      ++queue_depth;
-      if (queue_depth > queue_peak) queue_peak = queue_depth;
-    } else {
-      ++totals.rejected;
-      if (tl) tel->registry().add(tel->rejected, tid);
-    }
-    start_service(now);
-    next_arrival = now + sched.next_gap_ns(static_cast<double>(now) / 1e9, rng);
-  }
-
-  // Idle tail: a lightly loaded step can quiesce long before the window
-  // closes, but the real backend's emitter keeps its cadence to the end —
-  // flush the remaining boundaries so both modes emit the same line count.
-  while (next_emit <= end_ns) {
-    const double t_s = static_cast<double>(next_emit) / 1e9;
-    append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
-                         tprev, queue_depth, buckets.snapshot(), bprev, "");
-    next_emit += emit_ns;
-  }
-
-  out.stats = finalize_step(rate, duration_s, totals, hist, queue_peak, sgl_commits);
-  append_step_line(out.jsonl, step, out.stats);
-  return out;
-}
-
-// --- real backend: wall-clock producer, real transactions -------------------
-
+// Both backends queue the same request: the instance is sampled at arrival.
 struct Request {
   std::uint64_t enqueue_ns = 0;
   bool counted = false;
   sim::TxInstance inst;
 };
+
+// --- deterministic backend: open-loop arrivals on sim::Machine --------------
+//
+// One rate step is one sim::Machine run: `workers` simulated threads execute
+// every request as a transaction under the selected policy, with the
+// machine's conflicts, aborts, locks and SGL fallback. StepArrivals is the
+// machine's arrival actor. It samples each request when it arrives, admits
+// it through the same MpmcQueue the real backend uses (single-threaded
+// here, same capacity rounding and shed), hands it to an idle thread, and
+// records its latency at commit. Virtual time is the machine's cycle clock;
+// cycles_per_us converts it to nanoseconds. Output is a pure function of
+// (config, policy, seed).
+class StepArrivals final : public sim::Arrivals {
+ public:
+  StepArrivals(sim::Workload& gen, const OpenLoopConfig& ol,
+               const ServeOptions& opts, std::size_t step, double rate,
+               double duration_s, std::size_t workers)
+      : gen_(gen),
+        ol_(ol),
+        opts_(opts),
+        step_(step),
+        sched_(ol, rate),
+        rng_(step_seed(opts.seed, step)),
+        warmup_ns_(seconds_to_ns(ol.warmup_s)),
+        end_ns_(seconds_to_ns(ol.warmup_s + duration_s)),
+        ns_per_cycle_(1000.0 / ol.cycles_per_us),
+        queue_(ol.queue_capacity),
+        serving_(workers),
+        next_emit_(ol.emit_interval_ms * 1000000ULL) {
+    gen_.init(0);
+    next_ns_ = sched_.next_gap_ns(0.0, rng_);
+    // Lane = step index: concurrent --jobs steps each own a lane, so hub
+    // counters stay single-writer. Gauges race across steps (last writer
+    // wins), which point-in-time values tolerate by definition.
+    if (tel_ != nullptr) {
+      tel_->set_offered_rate(rate);
+      tel_->registry().set_gauge(tel_->step, step);
+      tel_->registry().set_gauge(tel_->workers, workers);
+      tel_->registry().set_gauge(tel_->offered_rate_millirps,
+                                 static_cast<std::uint64_t>(rate * 1000.0 + 0.5));
+    }
+  }
+
+  sim::Time next_arrival() override {
+    // A stop request ends arrivals; the machine then drains what it holds.
+    if (next_ns_ >= end_ns_ || gen_.exhausted(0) || stop_requested(opts_)) {
+      return kNone;
+    }
+    // Rounded up, so no request completes before it arrived.
+    return static_cast<sim::Time>(
+        std::ceil(static_cast<double>(next_ns_) / ns_per_cycle_));
+  }
+
+  bool arrive() override {
+    const std::uint64_t now_ns = next_ns_;
+    on_event(now_ns);
+    Request r;
+    gen_.next(0, static_cast<double>(now_ns) / static_cast<double>(end_ns_),
+              rng_, r.inst);
+    r.enqueue_ns = now_ns;
+    r.counted = now_ns >= warmup_ns_;
+    next_ns_ = now_ns + sched_.next_gap_ns(static_cast<double>(now_ns) / 1e9, rng_);
+    ++totals_.arrivals;
+    if (tl_) tel_->registry().add(tel_->arrivals, lane_);
+    if (!queue_.try_push(std::move(r))) {
+      ++totals_.rejected;
+      if (tl_) tel_->registry().add(tel_->rejected, lane_);
+      return false;
+    }
+    ++totals_.accepted;
+    if (tl_) tel_->registry().add(tel_->accepted, lane_);
+    if (++queue_depth_ > queue_peak_) queue_peak_ = queue_depth_;
+    return true;
+  }
+
+  bool take(core::ThreadId thread, sim::TxInstance& out) override {
+    Request r;
+    if (!queue_.try_pop(r)) return false;
+    --queue_depth_;
+    out = std::move(r.inst);
+    serving_[thread] = std::move(r);
+    return true;
+  }
+
+  void commit(core::ThreadId thread, sim::Time now, rt::CommitMode mode) override {
+    const auto done_ns =
+        static_cast<std::uint64_t>(static_cast<double>(now) * ns_per_cycle_);
+    on_event(done_ns);
+    ++totals_.completed;
+    if (tl_) tel_->registry().add(tel_->completed, lane_);
+    const Request& r = serving_[thread];
+    if (!r.counted) return;
+    const std::uint64_t lat = done_ns > r.enqueue_ns ? done_ns - r.enqueue_ns : 0;
+    hist_.record(lat);
+    buckets_.record(lat);
+    if (tel_ != nullptr) tel_->latency().record(lat);
+    if (mode == rt::CommitMode::kSglFallback) ++sgl_commits_;
+  }
+
+  // Emits the interval lines left after the last event (a lightly loaded
+  // step quiesces long before its window closes, while the real backend's
+  // emitter keeps its cadence to the end) and the step line.
+  StepOutput finish(double rate, double duration_s) {
+    emit_intervals(end_ns_);
+    StepOutput out;
+    out.jsonl = std::move(jsonl_);
+    out.stats = finalize_step(rate, duration_s, totals_, hist_, queue_peak_,
+                              sgl_commits_);
+    append_step_line(out.jsonl, step_, out.stats);
+    return out;
+  }
+
+ private:
+  // Arrivals and commits are the only events that change what an interval
+  // line reports, so the lines up to each one are flushed lazily before it.
+  void on_event(std::uint64_t now_ns) {
+    emit_intervals(std::min(now_ns, end_ns_));
+    if (tel_ != nullptr && (++events_ & 0xFFF) == 0) {
+      const std::uint64_t w = wall_ns();
+      tel_->producer_beat(w);
+      tel_->worker_beat(w);
+      tel_->registry().set_gauge(tel_->queue_depth, queue_depth_);
+    }
+  }
+
+  // Emits every interval boundary at or before `until_ns`.
+  void emit_intervals(std::uint64_t until_ns) {
+    const std::uint64_t emit_ns = ol_.emit_interval_ms * 1000000ULL;
+    for (; next_emit_ <= until_ns; next_emit_ += emit_ns) {
+      const double t_s = static_cast<double>(next_emit_) / 1e9;
+      append_interval_line(jsonl_, step_, t_s, sched_.rate_at(t_s), totals_,
+                           tprev_, queue_depth_, buckets_.snapshot(), bprev_, "");
+    }
+  }
+
+  sim::Workload& gen_;
+  const OpenLoopConfig& ol_;
+  const ServeOptions& opts_;
+  std::size_t step_;
+  ArrivalSchedule sched_;
+  util::Xoshiro256 rng_;
+  std::uint64_t warmup_ns_, end_ns_;
+  double ns_per_cycle_;
+  ServeTelemetry* tel_ = opts_.telemetry;
+  bool tl_ = tel_lane_ok(tel_, step_);
+  core::ThreadId lane_ = static_cast<core::ThreadId>(step_);
+
+  util::MpmcQueue<Request> queue_;
+  std::vector<Request> serving_;  // per thread: the request it runs
+  std::uint64_t next_ns_ = 0;     // the pending arrival
+  std::uint64_t next_emit_;
+  std::uint64_t queue_depth_ = 0, queue_peak_ = 0, sgl_commits_ = 0;
+  std::uint64_t events_ = 0;
+  Totals totals_, tprev_;
+  util::LatencyHistogram hist_;
+  util::LatencyBuckets buckets_;
+  util::LatencyBucketCounts bprev_{};
+  std::string jsonl_;
+};
+
+StepOutput run_step_sim(const Desc& desc, const OpenLoopConfig& ol,
+                        const ServeOptions& opts, std::size_t step,
+                        double rate, double duration_s, std::size_t workers) {
+  sim::MachineConfig mc;
+  mc.n_threads = workers;
+  // As in real mode: the config's topology, else one core per worker.
+  mc.topology = desc.topology ? *desc.topology : core::Topology::flat(workers, 1);
+  mc.seed = step_seed(opts.seed, step);
+  mc.policy = opts.policy;
+  mc.policy.seer.seed = mc.seed;
+  // One generator lane samples every request; the machine owns it and only
+  // reads its type names.
+  auto gen = desc.make(1);
+  sim::Workload& sampler = *gen;
+  sim::Machine machine(mc, std::move(gen));
+  StepArrivals arrivals(sampler, ol, opts, step, rate, duration_s, workers);
+  (void)machine.run(arrivals);
+  return arrivals.finish(rate, duration_s);
+}
+
+// --- real backend: wall-clock producer, real transactions -------------------
 
 using Clock = std::chrono::steady_clock;
 
@@ -497,12 +398,9 @@ StepOutput run_step_real(const Desc& desc, const OpenLoopConfig& ol,
   rt::ThreadedExecutor::Options eopts;
   eopts.n_threads = workers;
   eopts.n_types = gen->n_types();
-  // Core-slice sizing: an explicit override wins, then the config's
-  // topology (which also routes to the scheduler's shard layout), then the
-  // legacy one-core-per-worker default.
-  if (opts.physical_cores != 0) {
-    eopts.physical_cores = opts.physical_cores;
-  } else if (desc.topology) {
+  // Core-slice sizing: the config's topology (which also routes to the
+  // scheduler's shard layout), else one core per worker.
+  if (desc.topology) {
     eopts.physical_cores = desc.topology->physical_cores();
     eopts.topology = *desc.topology;
   } else {
@@ -760,8 +658,6 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
   append_str(out, opts.deterministic ? "deterministic" : "real");
   out += ", \"process\": ";
   append_str(out, to_string(ol.process));
-  out += ", \"model\": ";
-  append_str(out, to_string(ol.model));
   out += ", \"workers\": ";
   append_u64(out, workers);
   out += ", \"queue_capacity\": ";
@@ -790,8 +686,7 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
     // a serial sweep, which is the --jobs byte-identity contract.
     steps = util::parallel_for_indexed(
         opts.jobs, rates.size(), [&](std::size_t i) {
-          return run_step_virtual(desc, ol, opts, i, rates[i], duration_s,
-                                  workers);
+          return run_step_sim(desc, ol, opts, i, rates[i], duration_s, workers);
         });
   } else {
     // Real steps share the machine; running two at once would corrupt both

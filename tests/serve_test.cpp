@@ -1,7 +1,8 @@
 // Serving-harness building blocks (DESIGN.md §12): the MPMC admission
 // queue, exact/bucket latency accounting, the arrival schedule, open_loop
 // config validation, and the deterministic serve driver's contracts —
-// accounting identities, byte-identical reruns, and --jobs invariance.
+// accounting identities, byte-identical reruns, --jobs invariance, and
+// output that depends on the scheduling policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/mpmc_queue.hpp"
+#include "runtime/policies.hpp"
 #include "util/rng.hpp"
 #include "workload/open_loop.hpp"
 #include "workload/registry.hpp"
@@ -277,6 +279,8 @@ TEST(OpenLoopConfig, SweepRatesMustStrictlyIncrease) {
 
 TEST(OpenLoopConfig, UnknownKeyIsRejected) {
   expect_config_error(R"({"rate": 100, "queue_cap": 64})", "queue_cap");
+  // There is one deterministic substrate, so no key selects a model.
+  expect_config_error(R"({"rate": 100, "model": "mgk"})", "model");
 }
 
 // --- serve driver (deterministic backend) ----------------------------------
@@ -371,8 +375,9 @@ TEST(ServeDriver, SweepOutputIsJobsInvariant) {
 }
 
 TEST(ServeDriver, SweepFindsTheSaturationKnee) {
-  // One worker at ~350 cycles/request and cycles_per_us=1 serves ~2850/s;
-  // 500/s keeps up, 8000/s cannot — the knee criteria must fire there.
+  // One worker at ~430 cycles/request (350 of body plus the machine's
+  // begin and commit costs) and cycles_per_us=1 serves ~2300/s; 500/s keeps
+  // up, 8000/s cannot — the knee criteria must fire there.
   const auto desc = desc_of(service_config(R"({
     "sweep": {"rates": [500, 8000], "knee_p99_ms": 2.0,
               "knee_rejected_fraction": 0.01},
@@ -388,63 +393,97 @@ TEST(ServeDriver, SweepFindsTheSaturationKnee) {
   EXPECT_GT(report.steps[1].p99_ns, report.steps[0].p99_ns);
 }
 
-// --- serve driver (deterministic conflict service model) --------------------
+// --- serve driver (every policy on sim::Machine) ----------------------------
 
-// The conflict model runs a real SeerScheduler inside the virtual-time loop:
-// per-request instances drawn from the generator, overlap-driven retry
-// ladders, scheme-driven deferral, SGL fallback. All of it must stay inside
-// the deterministic-bytes contract.
-constexpr const char* kConflictOpenLoop = R"({
+// A deterministic step runs each request as a transaction on sim::Machine
+// under the selected policy, so conflicts, aborts, locks and the SGL shape
+// the latencies and the output must depend on the policy.
+constexpr const char* kPolicyOpenLoop = R"({
   "rate": 4000, "duration_s": 0.3, "warmup_s": 0.05,
   "queue_capacity": 128, "workers": 8, "emit_interval_ms": 50,
-  "cycles_per_us": 1.0, "model": "conflict"
+  "cycles_per_us": 1.0
 })";
 
-TEST(ServeDriver, ConflictModelRunsAndKeepsAccountingIdentities) {
-  const auto desc = desc_of(service_config(kConflictOpenLoop));
-  ASSERT_TRUE(desc.open_loop->model == seer::workload::OpenLoopConfig::Model::kConflict);
+seer::workload::ServeReport serve_with(const seer::workload::Desc& desc,
+                                       seer::rt::PolicyKind kind) {
   seer::workload::ServeOptions opts;
   opts.deterministic = true;
-  const auto report = run_serve(desc, *desc.open_loop, opts);
-  ASSERT_EQ(report.steps.size(), 1u);
-  const auto& s = report.steps[0];
-  EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
-  EXPECT_EQ(s.completed, s.accepted);
-  // The hot-region update/lookup mix must actually collide: a conflict model
-  // that never aborts anything is the mgk path with extra steps.
-  EXPECT_GT(s.sgl_commits, 0u)
-      << "no request ever fell back to the SGL — the ladder never engaged";
-  EXPECT_GT(s.p999_ns, s.p50_ns);
+  opts.policy.kind = kind;
+  return run_serve(desc, *desc.open_loop, opts);
 }
 
-TEST(ServeDriver, ConflictModelIsByteIdenticalAcrossRunsAndJobsAt64Workers) {
+// The step lines of a report: everything but the header, which names the
+// policy.
+std::string step_lines(const seer::workload::ServeReport& r) {
+  return r.jsonl.substr(r.jsonl.find('\n') + 1);
+}
+
+TEST(ServeDriver, PoliciesOnMachineKeepAccountingIdentities) {
+  const auto desc = desc_of(service_config(kPolicyOpenLoop));
+  for (const auto kind : {seer::rt::PolicyKind::kRtm, seer::rt::PolicyKind::kSgl,
+                          seer::rt::PolicyKind::kSeer}) {
+    SCOPED_TRACE(seer::rt::to_string(kind));
+    const auto report = serve_with(desc, kind);
+    ASSERT_EQ(report.steps.size(), 1u);
+    const auto& s = report.steps[0];
+    EXPECT_GT(s.arrivals, 0u);
+    EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
+    EXPECT_EQ(s.completed, s.accepted);
+    EXPECT_LE(s.sgl_commits, s.latency_count);
+    EXPECT_GT(s.p999_ns, s.p50_ns);
+  }
+}
+
+TEST(ServeDriver, DeterministicStepLinesDependOnPolicy) {
+  const auto desc = desc_of(service_config(kSmallOpenLoop));
+  const std::string rtm = step_lines(serve_with(desc, seer::rt::PolicyKind::kRtm));
+  const std::string sgl = step_lines(serve_with(desc, seer::rt::PolicyKind::kSgl));
+  const std::string seer = step_lines(serve_with(desc, seer::rt::PolicyKind::kSeer));
+  EXPECT_NE(rtm, sgl);
+  EXPECT_NE(rtm, seer);
+  EXPECT_NE(sgl, seer);
+  // Every SGL-policy request commits under the fallback lock.
+  const auto s = serve_with(desc, seer::rt::PolicyKind::kSgl).steps[0];
+  EXPECT_EQ(s.sgl_commits, s.latency_count);
+}
+
+TEST(ServeDriver, PolicyOnMachineIsByteIdenticalAcrossRunsAndJobsAt64Workers) {
   const auto desc = desc_of(service_config(R"({
     "sweep": {"rates": [2000, 6000], "knee_p99_ms": 5.0},
     "duration_s": 0.2, "warmup_s": 0.05, "queue_capacity": 256,
-    "workers": 64, "cycles_per_us": 1.0, "model": "conflict"
+    "workers": 64, "cycles_per_us": 1.0
   })"));
   seer::workload::ServeOptions opts;
   opts.deterministic = true;
+  opts.policy.kind = seer::rt::PolicyKind::kSeer;
   opts.seed = 11;
   const auto a = run_serve(desc, *desc.open_loop, opts);
   const auto b = run_serve(desc, *desc.open_loop, opts);
-  EXPECT_EQ(a.jsonl, b.jsonl) << "conflict model is not run-deterministic";
+  EXPECT_EQ(a.jsonl, b.jsonl) << "a Seer step is not run-deterministic";
   opts.jobs = 4;
   const auto c = run_serve(desc, *desc.open_loop, opts);
-  EXPECT_EQ(a.jsonl, c.jsonl) << "conflict model is not jobs-invariant";
+  EXPECT_EQ(a.jsonl, c.jsonl) << "a Seer sweep is not jobs-invariant";
   // Different seed, different arrivals and instances.
   opts.seed = 12;
   const auto d = run_serve(desc, *desc.open_loop, opts);
   EXPECT_NE(a.jsonl, d.jsonl);
 }
 
-TEST(ServeDriver, ConflictModelOffByDefaultKeepsLegacyBytes) {
-  // The mgk default must be unaffected by the conflict-model machinery:
-  // same config minus "model" produces the same bytes as before the
-  // feature existed (pinned indirectly by DeterministicRunsAreByteIdentical
-  // goldens; here we check the model flag is what switches behaviour).
-  const auto mgk = desc_of(service_config(kSmallOpenLoop));
-  EXPECT_TRUE(mgk.open_loop->model == seer::workload::OpenLoopConfig::Model::kMgk);
+TEST(ServeDriver, DeterministicRunAt256WorkersWithoutTopology) {
+  // One core per worker: a default flat(256) shape with SMT pairs would have
+  // 512 hardware threads, past core::kMaxThreads.
+  const auto desc = desc_of(service_config(R"({
+    "rate": 20000, "duration_s": 0.05, "queue_capacity": 256,
+    "workers": 256, "cycles_per_us": 1.0
+  })"));
+  ASSERT_EQ(desc.topology, nullptr);
+  const auto report = serve_with(desc, seer::rt::PolicyKind::kSeer);
+  ASSERT_EQ(report.steps.size(), 1u);
+  const auto& s = report.steps[0];
+  EXPECT_GT(s.arrivals, 0u);
+  EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
+  EXPECT_EQ(s.completed, s.accepted);
+  EXPECT_EQ(s.latency_count, s.completed);  // warmup_s = 0: all counted
 }
 
 // --- serve driver (real backend, kept tiny for test walltime) ---------------

@@ -10,9 +10,10 @@
 // Two backends, selected by --deterministic:
 //   real           measure THIS machine: wall-clock arrivals, real threads,
 //                  real SoftHtm transactions;
-//   deterministic  virtual-time queueing simulation of the same schedule —
-//                  byte-identical output for a (config, seed) pair at any
-//                  --jobs, which is what makes it CI-gateable.
+//   deterministic  the same schedule as open-loop arrivals on the cycle-level
+//                  simulator (sim::Machine) under the selected policy —
+//                  byte-identical output for a (config, policy, seed) at
+//                  any --jobs, which is what makes it CI-gateable.
 //
 // --listen PORT raises the live telemetry plane (DESIGN.md §13): an HTTP
 // endpoint on 127.0.0.1 serving /metrics (Prometheus exposition), /status
@@ -33,6 +34,7 @@
 // `open_loop` section, and a --listen port that cannot be bound).
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -106,7 +108,9 @@ void usage(const char* argv0) {
       "  --workload FILE.json   workload config with an open_loop section\n"
       "  --policy NAME          HLE|RTM|SCM|ATS|SGL|Seer|Oracle (default RTM)\n"
       "  --workers N            override the config's service thread count\n"
-      "  --deterministic        virtual-time backend (byte-stable output)\n"
+      "                         (1..256)\n"
+      "  --deterministic        simulated-machine backend (byte-stable\n"
+      "                         output)\n"
       "  --jobs N               deterministic only: parallel rate steps\n"
       "                         (0 = all cores); output bytes are identical\n"
       "  --seed N               arrival/instance RNG seed (default 1)\n"
@@ -116,8 +120,6 @@ void usage(const char* argv0) {
       "                         interval lines\n"
       "  --storm-response       Seer scheduler: decay stats and re-infer\n"
       "                         immediately on abort-/SGL-storm entry\n"
-      "                         (affects the conflict service model and\n"
-      "                         real-mode Seer runs)\n"
       "  --storm-enter R        abort-rate threshold that opens a storm\n"
       "                         episode (default 0.90; exit follows at 2/3)\n"
       "  --storm-decay F        history multiplier applied on storm entry\n"
@@ -181,7 +183,17 @@ int main(int argc, char** argv) {
             "\" (known: HLE, RTM, SCM, ATS, SGL, Seer, Oracle)");
       }
     } else if (arg == "--workers") {
-      opts.workers_override = static_cast<std::size_t>(std::atoll(next()));
+      // The config key's rule: a whole number in [1, 256].
+      const char* v = next();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(v, &end, 10);
+      if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || n == 0 ||
+          n > 256) {
+        die("--workers must be an integer in [1, 256], got \"" +
+            std::string(v) + "\"");
+      }
+      opts.workers_override = static_cast<std::size_t>(n);
     } else if (arg == "--deterministic") {
       opts.deterministic = true;
     } else if (arg == "--jobs") {
